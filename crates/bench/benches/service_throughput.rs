@@ -99,7 +99,6 @@ fn run_sweep(
             workers,
             cache_capacity: cache,
             queue_capacity: 4096,
-            batch_size: 16,
             ..ServiceConfig::default()
         },
     );

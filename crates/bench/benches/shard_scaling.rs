@@ -10,22 +10,23 @@
 //!
 //! Reported per configuration:
 //!
-//! * `*_ms` — measured wall-clock on this host. With the single-pass
-//!   shared traversal, sharded *total* work is ~1× the single index
-//!   (one grid/HICL pass + routing) instead of the legacy ~S×, so
-//!   wall-clock no longer multiplies with S even on few cores.
+//! * `*_ms` — measured wall-clock on this host. Sharded *total* work
+//!   is ~1× the single index (one router traversal, each candidate
+//!   verified on its owner shard), so wall-clock does not multiply
+//!   with S even on few cores.
 //! * `*_wall_ratio` — wall-clock relative to S=1 under the same
 //!   partitioner. The run **asserts** this stays well under S for
-//!   every S>1 sweep point; before the shared traversal the ratio
-//!   trended toward ~S on a saturated host.
-//! * `*_critical_ms` — the per-query critical path: shared (router)
-//!   traversal time plus the busiest shard's verification time. This
-//!   is the latency a host with one core per shard observes. The
-//!   JSON records `parallelism` so a curve can always be interpreted.
+//!   every S>1 sweep point.
+//! * `*_critical_ms` — the per-query critical path: router traversal
+//!   time plus the busiest shard's verification time, the latency
+//!   verifying shards in parallel could at best reach. A query runs
+//!   on one thread, so its wall-clock is the router time plus the
+//!   *sum* over shards. The JSON records `parallelism` so a curve can
+//!   always be interpreted.
 //! * `candidates_per_shard` — candidates each shard verified during
-//!   the timed ATSQ pass. With shared traversal these **sum** to the
-//!   single traversal's candidate count (ownership attribution)
-//!   rather than duplicating it per shard.
+//!   the timed ATSQ pass. These **sum** to the single traversal's
+//!   candidate count (ownership attribution) rather than duplicating
+//!   it per shard.
 //!
 //! Environment knobs: `SHARD_SCALING_SCALE` (dataset scale, default
 //! 0.006 — the Fig. 7 full-size city), `SHARD_SCALING_QUERIES`
@@ -124,12 +125,10 @@ fn main() {
                 oatsq.critical_ms,
                 atsq.router_ms + oatsq.router_ms
             );
-            // The point of the shared traversal: total sharded work is
-            // ~1× a single index plus routing, so wall-clock must not
-            // drift toward the legacy ~S× even on a saturated host.
-            // (The bound is deliberately loose — CI boxes are noisy —
-            // but it would have failed the per-shard-traversal design
-            // at every S.)
+            // One router traversal per query: total sharded work is ~1×
+            // a single index plus routing, so wall-clock must not drift
+            // toward ~S× even on a saturated host. (The bound is
+            // deliberately loose — CI boxes are noisy.)
             if shards > 1 && !base_atsq_ms.is_nan() {
                 let limit = 0.75 * shards as f64;
                 assert!(
@@ -176,8 +175,8 @@ struct Timing {
 }
 
 /// Average wall-clock and critical-path per query in ms, after one
-/// warm-up pass. The critical path of one query is the shared
-/// (router) traversal plus its busiest shard's verification time;
+/// warm-up pass. The critical path of one query is the router
+/// traversal plus its busiest shard's verification time;
 /// per-shard and router busy times are accumulated across the run, so
 /// `router + max(shard)` divided by the query count is the average
 /// critical path when the same shard is busiest on every query

@@ -432,8 +432,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "addr",
             "workers",
             "queue",
-            "batch",
-            "batch-threads",
             "cache",
             "deadline-ms",
             "duration-s",
@@ -447,11 +445,14 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     )?;
     let defaults = ServiceConfig::default();
     let (shards, partition) = parse_sharding(&f)?;
+    let workers = f.num("workers", defaults.workers)?;
+    if workers == 0 {
+        // A pool without workers accepts requests and never answers.
+        return Err(CliError::Usage("--workers must be at least 1".into()));
+    }
     let config = ServiceConfig {
-        workers: f.num("workers", defaults.workers)?,
+        workers,
         queue_capacity: f.num("queue", defaults.queue_capacity)?,
-        batch_size: f.num("batch", defaults.batch_size)?,
-        batch_threads: f.num("batch-threads", defaults.batch_threads)?,
         cache_capacity: f.num("cache", defaults.cache_capacity)?,
         default_deadline: match f.get("deadline-ms") {
             None => None,
@@ -1375,6 +1376,22 @@ u2,34.10,-118.30,20,hiking with a view
         // help works
         run(&sv(&["help"]), &mut out).unwrap();
         assert!(String::from_utf8(out).unwrap().contains("USAGE"));
+    }
+
+    /// `serve --workers 0` would accept connections and never answer,
+    /// so it is refused before any dataset is read.
+    #[test]
+    fn serve_rejects_zero_workers() {
+        let mut out = Vec::new();
+        let err = run(
+            &sv(&["serve", "--data", "/nonexistent", "--workers", "0"]),
+            &mut out,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("--workers")),
+            "{err:?}"
+        );
     }
 
     /// The multi-city surface end to end at the CLI: a registry served

@@ -65,9 +65,8 @@ USAGE:
   atsq index    inspect --cache DIR
   atsq bench    --data FILE [--queries N] [--k N]
   atsq serve    (--data FILE | --cities DIR) [--addr HOST:PORT]
-                [--workers N] [--queue N] [--batch N]
-                [--batch-threads N] [--cache N] [--deadline-ms MS]
-                [--duration-s S] [--shards S]
+                [--workers N] [--queue N] [--cache N]
+                [--deadline-ms MS] [--duration-s S] [--shards S]
                 [--partition hash|spatial] [--index-cache DIR]
                 [--slowlog-ms MS] [--slowlog-capacity N] [--no-tracing]
                 [--tenant-memory-budget BYTES[kb|mb|gb]]
@@ -86,8 +85,9 @@ Datasets are `atsq v1` text snapshots (see atsq-io). Activities in
 fifth column is free text and activities are mined from it.
 
 --shards S > 1 partitions the dataset into S GAT shards (hash or
-spatial partitioner) searched in parallel with a shared k-th-best
-pruning bound; results are identical to a single index.
+spatial partitioner): one router traversal per query feeds each
+candidate to the shard that owns it; results are identical to a
+single index.
 
 --index-cache DIR reads/writes persistent index snapshots keyed by the
 dataset's content hash: `atsq index build` pre-builds them, and `atsq

@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod batch;
 pub mod profile;
 
 pub use atsq_baselines::{IlEngine, IrtEngine, RtEngine};
@@ -59,7 +58,6 @@ pub use atsq_gat::{
 };
 pub use atsq_matching as matching;
 pub use atsq_types as types;
-pub use batch::{run_batch, run_batch_with_sinks, QueryKind};
 pub use profile::{EngineCounters, Profiled};
 
 use atsq_types::{Dataset, Query, QueryResult, Result};
@@ -246,8 +244,9 @@ pub enum Engine {
     Rt(RtEngine),
     /// IR-tree baseline.
     Irt(IrtEngine),
-    /// Sharded parallel GAT (one index per shard, shared k-th-best
-    /// bound). Not part of [`Engine::build_all`]'s paper line-up.
+    /// Sharded GAT (one router traversal, candidates verified on
+    /// their owner shard). Not part of [`Engine::build_all`]'s paper
+    /// line-up.
     Sharded(ShardedEngine),
 }
 
@@ -419,6 +418,150 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs `queries` on `threads` scoped threads (query `i` on thread
+    /// `i % threads`), each query inside its own counter scope, and
+    /// returns the answers in input order with each query's sink.
+    fn run_concurrently<E: QueryEngine + Sync>(
+        engine: &E,
+        dataset: &Dataset,
+        queries: &[Query],
+        threads: usize,
+        run: impl Fn(&E, &Dataset, &Query) -> Vec<QueryResult> + Sync,
+    ) -> Vec<(Vec<QueryResult>, std::sync::Arc<atsq_obs::CounterSink>)> {
+        let mut out: Vec<_> = queries.iter().map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let run = &run;
+                    scope.spawn(move || {
+                        (t..queries.len())
+                            .step_by(threads)
+                            .map(|i| {
+                                let sink = atsq_obs::CounterSink::new();
+                                let _scope = atsq_obs::CounterScope::enter(sink.clone());
+                                (i, run(engine, dataset, &queries[i]), sink.clone())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                for (i, results, sink) in h.join().unwrap() {
+                    out[i] = Some((results, sink));
+                }
+            }
+        });
+        out.into_iter().map(Option::unwrap).collect()
+    }
+
+    /// Per-query sinks of queries run concurrently on one engine sum
+    /// exactly to the engine's counter totals, and the split is real.
+    fn assert_sinks_sum_to_engine<E: QueryEngine + Profiled + Sync>(engine: &E, seed: u64) {
+        let dataset = generate(&CityConfig::tiny(seed)).unwrap();
+        let queries = generate_queries(&dataset, &QueryGenConfig::default(), 10);
+        engine.reset_counters();
+        let out = run_concurrently(engine, &dataset, &queries, 4, |e, d, q| e.atsq(d, q, 5));
+        let summed = out
+            .iter()
+            .fold(atsq_obs::QueryCounters::default(), |acc, (_, s)| {
+                acc.add(&s.counters())
+            });
+        assert_eq!(EngineCounters::from(summed), engine.counters());
+        assert!(summed.candidates > 0, "queries must have done engine work");
+        let with_work = out.iter().filter(|(_, s)| !s.counters().is_zero()).count();
+        assert!(with_work > 1, "work attributed to {with_work} sink(s)");
+    }
+
+    #[test]
+    fn per_query_sinks_attribute_exactly() {
+        let dataset = generate(&CityConfig::tiny(9)).unwrap();
+        assert_sinks_sum_to_engine(&GatEngine::build(&dataset).unwrap(), 9);
+    }
+
+    /// Each sharded query's delta (router traversal plus owner-shard
+    /// verification) lands in its own sink; the deltas sum to the
+    /// engine totals, which include the router's counters.
+    #[test]
+    fn sharded_per_query_sinks_attribute_exactly() {
+        let dataset = generate(&CityConfig::tiny(9)).unwrap();
+        let engine = ShardedEngine::build(&dataset, 4, Partition::Hash).unwrap();
+        assert_sinks_sum_to_engine(&engine, 9);
+    }
+
+    /// A sharded query inside a counter scope books busy time for
+    /// every shard that verified one of its candidates, and the
+    /// router's busy time grows.
+    #[test]
+    fn sharded_query_fills_shard_busy_time() {
+        let dataset = generate(&CityConfig::tiny(9)).unwrap();
+        let engine = ShardedEngine::build(&dataset, 4, Partition::Hash).unwrap();
+        let queries = generate_queries(&dataset, &QueryGenConfig::default(), 6);
+        for q in &queries {
+            let before = engine.per_shard_stats();
+            let router_before = engine.router_busy_ns();
+            let sink = atsq_obs::CounterSink::new();
+            {
+                let _scope = atsq_obs::CounterScope::enter(sink.clone());
+                QueryEngine::oatsq(&engine, &dataset, q, 5);
+            }
+            let busy = sink.shard_busy_ns();
+            let mut verified = 0;
+            for (s, (after, before)) in engine.per_shard_stats().iter().zip(&before).enumerate() {
+                if after.candidates_retrieved > before.candidates_retrieved {
+                    verified += 1;
+                    assert!(busy.get(s).is_some_and(|&ns| ns > 0), "shard {s}: {busy:?}");
+                }
+            }
+            assert!(verified > 0, "the query verified no candidate");
+            assert!(engine.router_busy_ns() > router_before);
+        }
+    }
+
+    /// Concurrent callers of one single-index engine get exactly the
+    /// answers a sequential caller gets, for both query kinds.
+    #[test]
+    fn concurrent_callers_match_sequential() {
+        let dataset = generate(&CityConfig::tiny(5)).unwrap();
+        let engine = GatEngine::build(&dataset).unwrap();
+        let queries = generate_queries(&dataset, &QueryGenConfig::default(), 12);
+        for ordered in [false, true] {
+            let op = |e: &GatEngine, d: &Dataset, q: &Query| {
+                if ordered {
+                    e.oatsq(d, q, 5)
+                } else {
+                    e.atsq(d, q, 5)
+                }
+            };
+            let want: Vec<_> = queries.iter().map(|q| op(&engine, &dataset, q)).collect();
+            let got = run_concurrently(&engine, &dataset, &queries, 4, op);
+            let got: Vec<_> = got.into_iter().map(|(r, _)| r).collect();
+            assert_eq!(got, want, "ordered={ordered}");
+        }
+    }
+
+    /// Concurrent callers of the sharded engine get exactly the
+    /// single-index answers, for both query kinds.
+    #[test]
+    fn sharded_engine_matches_single_index_under_concurrent_callers() {
+        let dataset = generate(&CityConfig::tiny(8)).unwrap();
+        let single = GatEngine::build(&dataset).unwrap();
+        let sharded = ShardedEngine::build(&dataset, 3, Partition::Spatial).unwrap();
+        let queries = generate_queries(&dataset, &QueryGenConfig::default(), 8);
+        for ordered in [false, true] {
+            let op = |e: &dyn QueryEngine, d: &Dataset, q: &Query| {
+                if ordered {
+                    e.oatsq(d, q, 5)
+                } else {
+                    e.atsq(d, q, 5)
+                }
+            };
+            let want: Vec<_> = queries.iter().map(|q| op(&single, &dataset, q)).collect();
+            let got = run_concurrently(&sharded, &dataset, &queries, 4, |e, d, q| op(e, d, q));
+            let got: Vec<_> = got.into_iter().map(|(r, _)| r).collect();
+            assert_eq!(got, want, "ordered={ordered}");
+        }
     }
 
     #[test]

@@ -109,10 +109,10 @@ impl EngineCounters {
 
 impl Profiled for ShardedEngine {
     fn counters(&self) -> EngineCounters {
-        // Shard counters plus the shared-traversal router's: candidates
-        // are charged to their owner shard at routing time, but cold
-        // HICL reads during the single shared traversal land on the
-        // router and must not vanish from engine totals.
+        // Shard counters plus the router's: candidates are charged to
+        // the owner shard that verifies them, but cold HICL reads
+        // during the router traversal land on the router and must not
+        // vanish from engine totals.
         EngineCounters::sum(
             self.per_shard_stats()
                 .into_iter()
@@ -195,10 +195,10 @@ impl Engine {
         }
     }
 
-    /// Counters of the sharded engine's shared-traversal router (cold
-    /// HICL reads spent generating candidates); `None` for unsharded
-    /// engines. The router never records candidates — each candidate
-    /// is charged to its owner shard at routing time — so folding this
+    /// Counters of the sharded engine's router (cold HICL reads spent
+    /// generating candidates); `None` for unsharded engines. The router
+    /// never records candidates — each candidate is charged to the
+    /// owner shard that verifies it — so folding this
     /// into an aggregate never perturbs per-shard candidate sums.
     pub fn router_counters(&self) -> Option<EngineCounters> {
         match self {
@@ -207,8 +207,8 @@ impl Engine {
         }
     }
 
-    /// Accumulated shared-traversal router busy time in nanoseconds;
-    /// `None` for unsharded engines.
+    /// Accumulated router busy time of the sharded engine in
+    /// nanoseconds; `None` for unsharded engines.
     pub fn router_busy_ns(&self) -> Option<u64> {
         match self {
             Engine::Sharded(e) => Some(e.router_busy_ns()),

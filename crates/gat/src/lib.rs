@@ -20,7 +20,8 @@
 //!
 //! [`search`] implements Algorithm 1 (the outer loop), the candidate
 //! retrieval of §V-A, the tightened lower bound of Algorithm 2, and the
-//! ATSQ / OATSQ query entry points.
+//! ATSQ / OATSQ query entry points. [`sharded`] runs the same loop over
+//! a router index and verifies each candidate on its owner shard.
 //!
 //! [`snapshot`] persists built indexes (single or sharded) as
 //! versioned, checksummed binary snapshots keyed by the dataset's
@@ -49,9 +50,7 @@ pub use index::{GatIndex, MemoryReport};
 pub use kernel::{score_scalar, ScoreScratch};
 pub use paged::{AplStorage, PagedApl, PagedAplConfig, PagedBacking};
 pub use search::{
-    atsq, atsq_range, oatsq, oatsq_range, try_atsq, try_atsq_range, try_atsq_range_with_bound,
-    try_atsq_with_bound, try_oatsq, try_oatsq_range, try_oatsq_range_with_bound,
-    try_oatsq_with_bound, SharedKthBound,
+    atsq, atsq_range, oatsq, oatsq_range, try_atsq, try_atsq_range, try_oatsq, try_oatsq_range,
 };
 pub use sharded::{Partition, ShardedEngine};
 pub use snapshot::{CacheOutcome, IndexCache, SnapshotInfo};

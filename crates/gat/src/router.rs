@@ -1,12 +1,11 @@
 //! The sharded engine's candidate router: a traversal-only index.
 //!
-//! PR 2's sharded engine ran the full §V-A grid/HICL traversal once
-//! *per shard*, making S-shard total work ~S× one index. The router
-//! collapses that: it holds only the components candidate retrieval
-//! needs — grid geometry, HICL and leaf-cell ITL over the **whole**
-//! dataset — so one [`crate::search::Retrieval`] pass generates every
-//! candidate exactly as the single-index search would, and each
-//! candidate streams to its owning shard for TAS/APL verification.
+//! The router holds only the components candidate retrieval needs —
+//! grid geometry, HICL and leaf-cell ITL over the **whole** dataset —
+//! so one traversal per query generates every candidate exactly as
+//! the single-index search would, and each candidate goes to its
+//! owning shard for TAS/APL verification. Total traversal work stays
+//! that of one index whatever the shard count.
 //!
 //! The router is deliberately *not* persisted in snapshots: it is a
 //! deterministic function of the dataset and the base configuration,
@@ -72,8 +71,8 @@ impl RouterIndex {
         })
     }
 
-    /// The router's simulated-I/O counters (cold HICL reads during the
-    /// shared traversal land here).
+    /// The router's simulated-I/O counters (cold HICL reads during
+    /// candidate retrieval land here).
     pub(crate) fn stats(&self) -> &IoStats {
         &self.stats
     }

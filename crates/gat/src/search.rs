@@ -9,7 +9,6 @@ use crate::kernel::ScoreScratch;
 use atsq_grid::{CellId, Grid};
 use atsq_matching::order_match::{min_order_match_distance, order_feasible};
 use atsq_matching::point_match::{dmpm_from_sorted, CandidatePoint, QueryMask};
-use atsq_model::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use atsq_types::{
     rank_top_k, ActivityId, ActivitySet, Dataset, Query, QueryResult, Result, TrajectoryId,
 };
@@ -57,60 +56,6 @@ impl CandidateSource for GatIndex {
     }
 }
 
-/// A shared, monotonically tightening upper bound on the distance any
-/// result still has to beat — the cross-shard generalisation of the
-/// `Dkmm` pruning bound of Algorithm 1.
-///
-/// Injected into [`try_atsq_with_bound`] / [`try_oatsq_with_bound`],
-/// the bound carries the best `k`-th-best distance *published by any
-/// participant* (shard), so one shard's full top-k heap tightens every
-/// other shard's termination test and OATSQ early exit. Soundness: the
-/// search loops only use the bound through `min(local kth, shared)`,
-/// and every published value is the k-th smallest distance of `k` real
-/// trajectories — an upper bound on the final global k-th best — so
-/// anything pruned against it is *strictly* worse than the global
-/// answer set (the loops prune strictly, which also keeps
-/// tie-breaking identical to the single-index path).
-///
-/// Encoding: distances are non-negative, and IEEE-754 orders
-/// non-negative doubles identically to their raw bit patterns, so the
-/// bound lives in an `AtomicU64` tightened with lock-free `fetch_min`.
-#[derive(Debug)]
-pub struct SharedKthBound(AtomicU64);
-
-impl Default for SharedKthBound {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedKthBound {
-    /// A fresh bound at `+∞` (prunes nothing until tightened).
-    pub fn new() -> Self {
-        SharedKthBound(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    /// The tightest distance published so far.
-    pub fn get(&self) -> f64 {
-        // ordering: Relaxed — the bound's bits are the whole payload
-        // (no other memory is published alongside it), and any
-        // monotone, possibly-stale value is a *conservative* prune
-        // threshold: a late-arriving tighter bound only delays
-        // pruning, never causes a wrong result.
-        f64::from_bits(self.0.load(AtomicOrdering::Relaxed))
-    }
-
-    /// Publishes a candidate bound; the stored value only decreases.
-    pub fn tighten(&self, dist: f64) {
-        debug_assert!(dist >= 0.0, "distances are non-negative");
-        // ordering: Relaxed — fetch_min's read-modify-write atomicity
-        // keeps the value monotone non-increasing on its own; readers
-        // need no happens-before edge because the value itself is the
-        // entire message (see `get`).
-        self.0.fetch_min(dist.to_bits(), AtomicOrdering::Relaxed);
-    }
-}
-
 /// Total-ordering wrapper for f64 priorities (never NaN here).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrdF64(f64);
@@ -153,7 +98,7 @@ impl Ord for PqEntry {
 
 /// Best-first candidate retrieval with the Algorithm-2 lower bound,
 /// generic over the [`CandidateSource`] the traversal runs against.
-pub(crate) struct Retrieval<'a, S: CandidateSource> {
+struct Retrieval<'a, S: CandidateSource> {
     source: &'a S,
     query: &'a Query,
     pq: BinaryHeap<PqEntry>,
@@ -170,7 +115,7 @@ pub(crate) struct Retrieval<'a, S: CandidateSource> {
 impl<'a, S: CandidateSource> Retrieval<'a, S> {
     /// Seeds the traversal. `n_trajectories` sizes the dedup bitmap —
     /// the trajectory-id space the source's ITL draws from.
-    pub(crate) fn new(source: &'a S, n_trajectories: usize, query: &'a Query) -> Result<Self> {
+    fn new(source: &'a S, n_trajectories: usize, query: &'a Query) -> Result<Self> {
         let m = query.points.len();
         let mut pq = BinaryHeap::new();
         let mut frontier = vec![Vec::new(); m];
@@ -202,9 +147,9 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
 
     /// Dequeues cells until at least `lambda` fresh candidates are
     /// collected (or the queue empties). Returns the new candidates;
-    /// the *caller* charges `record_candidate` per returned id, on
-    /// whichever index owns the candidate's verification.
-    pub(crate) fn retrieve_batch(&mut self, lambda: usize) -> Result<Vec<TrajectoryId>> {
+    /// the index that verifies a candidate charges it (see
+    /// [`evaluate_atsq`]).
+    fn retrieve_batch(&mut self, lambda: usize) -> Result<Vec<TrajectoryId>> {
         let mut out = Vec::new();
         let leaf_level = self.source.config().grid_level;
         while out.len() < lambda {
@@ -237,7 +182,7 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
         Ok(out)
     }
 
-    pub(crate) fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.pq.is_empty()
     }
 
@@ -256,7 +201,7 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
     /// virtual trajectory lower-bounds the true `Dmpm` of anything not
     /// yet retrieved, capped by the distance of the last tracked cell
     /// when the frontier list was truncated.
-    pub(crate) fn lower_bound(&self) -> Result<f64> {
+    fn lower_bound(&self) -> Result<f64> {
         if !self.source.config().tight_lower_bound {
             return Ok(self.loose_lower_bound());
         }
@@ -332,22 +277,21 @@ fn remove_frontier(list: &mut Vec<(f64, CellId)>, mdist: f64, cell: CellId) {
 /// The heap's content is a pure function of the *set* of offered
 /// `(dist, id)` pairs — the k smallest under the `(dist, id)` order —
 /// so any evaluation order, and any extra offers of pairs worse than
-/// the final k-th, produce the same results. The sharded engine's
-/// shared-traversal path leans on exactly this property.
-pub(crate) struct TopK {
+/// the final k-th, produce the same results.
+struct TopK {
     k: usize,
     heap: BinaryHeap<(OrdF64, TrajectoryId)>,
 }
 
 impl TopK {
-    pub(crate) fn new(k: usize) -> Self {
+    fn new(k: usize) -> Self {
         TopK {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
         }
     }
 
-    pub(crate) fn offer(&mut self, dist: f64, tr: TrajectoryId) {
+    fn offer(&mut self, dist: f64, tr: TrajectoryId) {
         self.heap.push((OrdF64(dist), tr));
         if self.heap.len() > self.k {
             self.heap.pop();
@@ -355,7 +299,7 @@ impl TopK {
     }
 
     /// Current k-th smallest distance (`∞` until k results exist).
-    pub(crate) fn kth(&self) -> f64 {
+    fn kth(&self) -> f64 {
         if self.heap.len() == self.k {
             self.heap.peek().map_or(f64::INFINITY, |&(d, _)| d.0)
         } else {
@@ -363,7 +307,7 @@ impl TopK {
         }
     }
 
-    pub(crate) fn into_results(self) -> Vec<QueryResult> {
+    fn into_results(self) -> Vec<QueryResult> {
         self.heap
             .into_iter()
             .map(|(d, tr)| QueryResult::new(tr, d.0))
@@ -372,8 +316,9 @@ impl TopK {
 }
 
 /// Validates a candidate and computes `Dmm` through the index's TAS and
-/// APL (the §V-C / §V-D pipeline). Returns `Ok(None)` for invalid
-/// candidates; `Err` only on a paged-APL storage failure.
+/// APL (the §V-C / §V-D pipeline), charging the candidate to `index`.
+/// Returns `Ok(None)` for invalid candidates; `Err` only on a paged-APL
+/// storage failure.
 ///
 /// Candidate-point scoring runs through the SoA batch kernel in
 /// `scratch` — bit-identical to the scalar reference (see
@@ -386,6 +331,7 @@ pub(crate) fn evaluate_atsq(
     tr: TrajectoryId,
     scratch: &mut ScoreScratch,
 ) -> Result<Option<f64>> {
+    index.stats().record_candidate();
     if index.config().use_tas {
         index.stats().record_tas_check();
         if !index.tas().sketch(tr.index()).covers(all_acts) {
@@ -414,8 +360,8 @@ pub(crate) fn evaluate_atsq(
     Ok(Some(total))
 }
 
-/// Validates a candidate for OATSQ (TAS → APL → MIB) and computes
-/// `Dmom` with the `Dkmom` early exit.
+/// Validates a candidate for OATSQ (TAS → APL → MIB), charging it to
+/// `index`, and computes `Dmom` with the `Dkmom` early exit.
 pub(crate) fn evaluate_oatsq(
     index: &GatIndex,
     dataset: &Dataset,
@@ -424,6 +370,7 @@ pub(crate) fn evaluate_oatsq(
     tr: TrajectoryId,
     dk: f64,
 ) -> Result<Option<f64>> {
+    index.stats().record_candidate();
     if index.config().use_tas {
         index.stats().record_tas_check();
         if !index.tas().sketch(tr.index()).covers(all_acts) {
@@ -446,93 +393,63 @@ pub(crate) fn evaluate_oatsq(
     Ok(min_order_match_distance(query, points, dk))
 }
 
-/// Runs Algorithm 1 with a pluggable candidate evaluator and an
-/// optional externally shared pruning bound.
+/// Runs Algorithm 1 over the candidate stream of `source`, whose ITL
+/// draws trajectory ids from `0..n_trajectories`.
 ///
-/// When `bound` is present, every pruning decision — the evaluator's
-/// `Dkmom` early exit and the Algorithm-1 termination test — uses
-/// `min(local k-th best, bound)`, and the local k-th best is published
-/// back whenever it improves. With `None` the loop is exactly the
-/// paper's single-index Algorithm 1.
-fn search_loop(
-    index: &GatIndex,
-    dataset: &Dataset,
+/// `evaluate(tr, dk)` verifies one retrieved candidate against the
+/// current k-th best distance `dk` and returns its distance, or `None`
+/// for an invalid candidate. The single index evaluates on itself; the
+/// sharded engine's evaluator sends each candidate to its owner shard.
+/// Either way the heap's content is independent of which index
+/// verified a candidate (see [`TopK`]), so both answer identically.
+pub(crate) fn search_loop<S: CandidateSource>(
+    source: &S,
+    n_trajectories: usize,
     query: &Query,
     k: usize,
-    bound: Option<&SharedKthBound>,
     mut evaluate: impl FnMut(TrajectoryId, f64) -> Result<Option<f64>>,
 ) -> Result<Vec<QueryResult>> {
-    if k == 0 || dataset.is_empty() {
+    if k == 0 || n_trajectories == 0 {
         return Ok(Vec::new());
     }
-    let mut retrieval = Retrieval::new(index, dataset.len(), query)?;
+    let mut retrieval = Retrieval::new(source, n_trajectories, query)?;
     let mut top = TopK::new(k);
-    let lambda = index.config().lambda;
-    let effective = |local: f64| bound.map_or(local, |b| local.min(b.get()));
-
-    // Entry check: a bound inherited from other shards may already
-    // beat everything this index could contribute (its lower bound
-    // covers ALL its trajectories before the first retrieval), in
-    // which case the whole search is skipped — this is what makes a
-    // far shard nearly free once a near shard has published its top-k.
-    if let Some(b) = bound {
-        if b.get() < retrieval.lower_bound()? {
-            return Ok(Vec::new());
-        }
-    }
-
+    let lambda = source.config().lambda;
     loop {
-        let batch = retrieval.retrieve_batch(lambda)?;
-        for tr in batch {
-            index.stats().record_candidate();
-            if let Some(dist) = evaluate(tr, effective(top.kth()))? {
+        for tr in retrieval.retrieve_batch(lambda)? {
+            if let Some(dist) = evaluate(tr, top.kth())? {
                 top.offer(dist, tr);
-                if let Some(b) = bound {
-                    // kth() is +∞ until the heap fills; tighten is a
-                    // no-op then, so publish unconditionally.
-                    b.tighten(top.kth());
-                }
             }
         }
         if retrieval.exhausted() {
             break;
         }
         // Termination: the k-th best beats anything still unseen.
-        let dlb = retrieval.lower_bound()?;
-        if effective(top.kth()) < dlb {
+        if top.kth() < retrieval.lower_bound()? {
             break;
         }
     }
     Ok(rank_top_k(top.into_results(), k))
 }
 
-/// Range variant of the search loop: every trajectory within `tau`.
-///
-/// A present `bound` tightens the cutoff to `min(tau, bound)`; callers
-/// injecting one promise that results beyond the bound are not wanted
-/// (for a sharded range query `tau` is already global, so the sharded
-/// engine passes `None` — the hook exists for callers imposing an
-/// extra result-distance budget).
-fn range_loop(
-    index: &GatIndex,
-    dataset: &Dataset,
+/// Range variant of [`search_loop`]: every trajectory within `tau`.
+/// `evaluate` receives `tau` as its pruning distance.
+pub(crate) fn range_loop<S: CandidateSource>(
+    source: &S,
+    n_trajectories: usize,
     query: &Query,
     tau: f64,
-    bound: Option<&SharedKthBound>,
     mut evaluate: impl FnMut(TrajectoryId, f64) -> Result<Option<f64>>,
 ) -> Result<Vec<QueryResult>> {
     let mut out = Vec::new();
-    if dataset.is_empty() || tau < 0.0 {
+    if n_trajectories == 0 || tau < 0.0 {
         return Ok(out);
     }
-    let mut retrieval = Retrieval::new(index, dataset.len(), query)?;
-    let lambda = index.config().lambda;
-    let cutoff = || bound.map_or(tau, |b| tau.min(b.get()));
+    let mut retrieval = Retrieval::new(source, n_trajectories, query)?;
+    let lambda = source.config().lambda;
     loop {
-        let batch = retrieval.retrieve_batch(lambda)?;
-        for tr in batch {
-            index.stats().record_candidate();
-            if let Some(dist) = evaluate(tr, cutoff())? {
+        for tr in retrieval.retrieve_batch(lambda)? {
+            if let Some(dist) = evaluate(tr, tau)? {
                 if dist <= tau {
                     out.push(QueryResult::new(tr, dist));
                 }
@@ -542,7 +459,7 @@ fn range_loop(
             break;
         }
         // Every unseen trajectory is strictly beyond the radius.
-        if retrieval.lower_bound()? > cutoff() {
+        if retrieval.lower_bound()? > tau {
             break;
         }
     }
@@ -556,26 +473,9 @@ pub fn try_atsq_range(
     query: &Query,
     tau: f64,
 ) -> Result<Vec<QueryResult>> {
-    try_atsq_range_with_bound(index, dataset, query, tau, None)
-}
-
-/// [`try_atsq_range`] with an optional injected result-distance budget:
-/// when present, only trajectories with `Dmm ≤ min(tau, bound)` are
-/// guaranteed to be returned — the caller promises results beyond the
-/// bound are not wanted. A sharded range query passes `None` (`tau` is
-/// already global); the hook serves callers imposing an extra global
-/// budget, e.g. "within `tau`, but nothing worse than the `k`-th best
-/// found elsewhere".
-pub fn try_atsq_range_with_bound(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-    bound: Option<&SharedKthBound>,
-) -> Result<Vec<QueryResult>> {
     let all_acts = query.all_activities();
     let mut scratch = ScoreScratch::new();
-    range_loop(index, dataset, query, tau, bound, |tr, _| {
+    range_loop(index, dataset.len(), query, tau, |tr, _| {
         evaluate_atsq(index, dataset, query, &all_acts, tr, &mut scratch)
     })
 }
@@ -604,22 +504,10 @@ pub fn try_oatsq_range(
     query: &Query,
     tau: f64,
 ) -> Result<Vec<QueryResult>> {
-    try_oatsq_range_with_bound(index, dataset, query, tau, None)
-}
-
-/// [`try_oatsq_range`] with an optional injected result-distance
-/// budget (see [`try_atsq_range_with_bound`] for the contract).
-pub fn try_oatsq_range_with_bound(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-    bound: Option<&SharedKthBound>,
-) -> Result<Vec<QueryResult>> {
     let all_acts = query.all_activities();
-    range_loop(index, dataset, query, tau, bound, |tr, cutoff| {
+    range_loop(index, dataset.len(), query, tau, |tr, tau| {
         // Algorithm 4's early exit doubles as the radius filter.
-        evaluate_oatsq(index, dataset, query, &all_acts, tr, cutoff)
+        evaluate_oatsq(index, dataset, query, &all_acts, tr, tau)
     })
 }
 
@@ -643,24 +531,9 @@ pub fn try_atsq(
     query: &Query,
     k: usize,
 ) -> Result<Vec<QueryResult>> {
-    try_atsq_with_bound(index, dataset, query, k, None)
-}
-
-/// [`try_atsq`] with an optional cross-participant pruning bound; the
-/// entry point of the sharded engine. Results are the exact per-index
-/// top-k *except* that trajectories strictly worse than the injected
-/// bound may be missing — which is precisely what makes merging
-/// per-shard answers exact (see [`SharedKthBound`]).
-pub fn try_atsq_with_bound(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    k: usize,
-    bound: Option<&SharedKthBound>,
-) -> Result<Vec<QueryResult>> {
     let all_acts = query.all_activities();
     let mut scratch = ScoreScratch::new();
-    search_loop(index, dataset, query, k, bound, |tr, _dk| {
+    search_loop(index, dataset.len(), query, k, |tr, _dk| {
         evaluate_atsq(index, dataset, query, &all_acts, tr, &mut scratch)
     })
 }
@@ -682,22 +555,8 @@ pub fn try_oatsq(
     query: &Query,
     k: usize,
 ) -> Result<Vec<QueryResult>> {
-    try_oatsq_with_bound(index, dataset, query, k, None)
-}
-
-/// [`try_oatsq`] with an optional cross-participant pruning bound (see
-/// [`try_atsq_with_bound`]); the bound additionally feeds Algorithm 4's
-/// `Dkmom` early exit, whose strict comparison keeps equal-distance
-/// ties alive across shards.
-pub fn try_oatsq_with_bound(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    k: usize,
-    bound: Option<&SharedKthBound>,
-) -> Result<Vec<QueryResult>> {
     let all_acts = query.all_activities();
-    search_loop(index, dataset, query, k, bound, |tr, dk| {
+    search_loop(index, dataset.len(), query, k, |tr, dk| {
         evaluate_oatsq(index, dataset, query, &all_acts, tr, dk)
     })
 }
@@ -837,52 +696,6 @@ mod tests {
         let q = Query::new(vec![qp(0.0, 0.0, &[3])]).unwrap(); // "d" never occurs
         assert!(atsq(&idx, &d, &q, 3).is_empty());
         assert!(oatsq(&idx, &d, &q, 3).is_empty());
-    }
-
-    #[test]
-    fn shared_bound_tightens_monotonically() {
-        let b = SharedKthBound::new();
-        assert_eq!(b.get(), f64::INFINITY);
-        b.tighten(5.0);
-        assert_eq!(b.get(), 5.0);
-        b.tighten(7.0); // looser publications are ignored
-        assert_eq!(b.get(), 5.0);
-        b.tighten(1.25);
-        assert_eq!(b.get(), 1.25);
-        b.tighten(0.0);
-        assert_eq!(b.get(), 0.0);
-    }
-
-    /// The injected range budget: everything within `min(tau, bound)`
-    /// is still returned; results beyond the bound are best-effort.
-    #[test]
-    fn bounded_range_keeps_everything_within_the_budget() {
-        let d = dataset();
-        let idx = GatIndex::build_with(&d, config()).unwrap();
-        let q = query();
-        for tau in [1.0f64, 3.0, 100.0] {
-            let full = atsq_range(&idx, &d, &q, tau);
-            let full_o = oatsq_range(&idx, &d, &q, tau);
-            for budget in [0.05f64, 0.5, 2.5, 60.0] {
-                let bound = SharedKthBound::new();
-                bound.tighten(budget);
-                let capped = try_atsq_range_with_bound(&idx, &d, &q, tau, Some(&bound)).unwrap();
-                let want: Vec<&QueryResult> =
-                    full.iter().filter(|r| r.distance <= budget).collect();
-                for w in &want {
-                    assert!(capped.contains(w), "τ={tau} budget={budget}: lost {w:?}");
-                }
-                let capped_o = try_oatsq_range_with_bound(&idx, &d, &q, tau, Some(&bound)).unwrap();
-                for w in full_o.iter().filter(|r| r.distance <= budget) {
-                    assert!(
-                        capped_o.contains(w),
-                        "ordered τ={tau} budget={budget}: lost {w:?}"
-                    );
-                }
-                // Nothing outside tau ever appears.
-                assert!(capped.iter().chain(&capped_o).all(|r| r.distance <= tau));
-            }
-        }
     }
 
     #[test]

@@ -1,41 +1,36 @@
-//! A sharded, parallel GAT engine.
+//! A sharded GAT engine.
 //!
-//! Nothing in the Algorithm-1 argument requires a single index: the
-//! Algorithm-2 lower bound is computed per index, and the `Dkmm`
-//! pruning bound only ever *over*-estimates the final k-th best
-//! distance. So the dataset can be split into `S` disjoint shards,
-//! each with its own [`GatIndex`], and a top-k query can run on all
-//! shards concurrently with a **shared k-th-best bound**
-//! ([`SharedKthBound`]): as soon as any shard's local top-k heap
-//! fills, its k-th distance tightens the termination test and the
-//! OATSQ early exit of every other shard. The merged answer is
-//! *exactly* the single-index answer (distances, ids and tie-breaks
-//! included) because
+//! The dataset is split into `S` disjoint shards, each holding its own
+//! sub-dataset and [`GatIndex`] — the TAS and APL that verify
+//! candidates — plus one traversal-only router index
+//! ([`RouterIndex`]: grid, HICL and ITL) over the whole dataset. A
+//! query runs the single-index Algorithm-1 loop (`search_loop` or
+//! `range_loop` in [`crate::search`]) over the router's candidate
+//! stream, with an evaluator that sends each candidate to the shard
+//! owning it. The answer is *exactly* the single-index answer
+//! (distances, ids and tie-breaks included) because
 //!
-//! 1. each shard returns its own exact top-k, minus only trajectories
-//!    strictly worse than the published bound — which is an upper
-//!    bound on the global k-th best, so those can never appear in the
-//!    global answer;
-//! 2. partitioning preserves ascending global-id order within each
-//!    shard, so per-shard heaps break distance ties exactly as the
-//!    single index does; and
-//! 3. the final [`rank_top_k`] merge re-ranks by `(distance, id)`.
+//! 1. the router retrieves the candidate stream a single index would
+//!    (same grid, HICL and ITL over the same data), so the Algorithm-2
+//!    lower bound and the termination test are unchanged;
+//! 2. the owner shard computes a candidate's distance from its full
+//!    trajectory, bit-identical to the single-index math; and
+//! 3. the loop's top-k heap holds global ids, so distance ties break
+//!    as they do in the single index.
 //!
-//! Range queries need no shared bound (`tau` is already global); they
-//! simply run per shard in parallel and concatenate.
+//! A query runs entirely on its calling thread; the serving layer's
+//! worker pool is what runs queries in parallel. Busy time is split
+//! per query into the router's share (traversal, lower bound and
+//! routing) and each owner shard's verification time.
 
 use crate::config::GatConfig;
 use crate::index::GatIndex;
 use crate::kernel::ScoreScratch;
 use crate::router::RouterIndex;
-use crate::search::{
-    evaluate_atsq, evaluate_oatsq, try_atsq_range, try_atsq_with_bound, try_oatsq_range,
-    try_oatsq_with_bound, Retrieval, SharedKthBound, TopK,
-};
+use crate::search::{evaluate_atsq, evaluate_oatsq, range_loop, search_loop};
 use crate::stats::IoSnapshot;
 use atsq_grid::morton_encode;
-use atsq_model::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use atsq_types::{rank_top_k, ActivitySet, Point};
+use atsq_model::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use atsq_types::{Dataset, Error, Query, QueryResult, Result, TrajectoryId};
 use std::time::Instant;
 
@@ -47,9 +42,8 @@ pub enum Partition {
     #[default]
     Hash,
     /// Z-order (Morton) sort of trajectory centroids, chunked into
-    /// contiguous runs — spatially local shards, so queries with small
-    /// diameters tend to fill one shard's top-k heap fast and the
-    /// shared bound shuts the other shards down early.
+    /// contiguous runs — spatially local shards, so a query's
+    /// candidates tend to concentrate in few shards.
     Spatial,
 }
 
@@ -75,53 +69,50 @@ impl std::fmt::Display for Partition {
     }
 }
 
-/// One shard: a sub-dataset with dense local ids, its GAT index, and
-/// the local→global id mapping.
+/// One shard: a sub-dataset with dense local ids and its GAT index.
 #[derive(Debug)]
 struct Shard {
     dataset: Dataset,
     index: GatIndex,
-    to_global: Vec<TrajectoryId>,
-    /// Centre of the shard's bounding rectangle, for proximity-ordered
-    /// search: starting at the shard nearest the query tightens the
-    /// shared bound fastest, which is what lets far shards exit at
-    /// their entry bound check.
-    center: Point,
-    /// Accumulated busy time of this shard's searches, in nanoseconds.
-    /// The *maximum* across shards is a query's critical path — the
-    /// latency a host with ≥ S cores observes; on fewer cores the
-    /// wall-clock approaches the *sum* instead.
+    /// Accumulated time this shard spent verifying candidates, in
+    /// nanoseconds. The *maximum* across shards bounds what a host
+    /// with one core per shard could save; the *sum* is the
+    /// single-core cost.
     busy_ns: AtomicU64,
 }
 
-/// `S` disjoint [`GatIndex`] shards searched in parallel behind the
-/// same four query entry points as a single index. Unlike
-/// [`GatIndex`], the sharded engine owns (copies of) its shard
-/// datasets, because trajectory ids inside each shard are local.
+/// `S` disjoint [`GatIndex`] shards behind the same four query entry
+/// points as a single index. Unlike [`GatIndex`], the sharded engine
+/// owns (copies of) its shard datasets, because trajectory ids inside
+/// each shard are local.
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Vec<Shard>,
     partition: Partition,
     total: usize,
-    /// The engine's *base* configuration: the router traverses with
-    /// it, snapshot filenames and manifests are keyed by it, and each
-    /// shard derives its tuned configuration from it (see
-    /// [`shard_config`]).
+    /// The engine's *base* configuration: snapshot filenames and
+    /// manifests are keyed by it, and the router and each shard derive
+    /// their tuned configurations from it (see [`shard_config`]).
     config: GatConfig,
-    /// Traversal-only index over the full dataset — the single-pass
-    /// candidate source of the shared-traversal query path.
+    /// Traversal-only index over the full dataset — the candidate
+    /// source every query's Algorithm-1 loop runs over.
     router: RouterIndex,
     /// Global trajectory id → `(shard, local id)`; the deterministic
     /// routing table derived from the partitioner's membership lists.
     owner: Vec<(u32, u32)>,
-    /// Whether queries run the single-pass shared traversal (default)
-    /// or PR 2's per-shard retrieval cascade (kept for comparison
-    /// benches and differential tests).
-    shared_traversal: bool,
-    /// Accumulated coordinator time in the shared traversal itself
-    /// (retrieve + lower bound + routing), in nanoseconds — the
+    /// Accumulated query time outside owner-shard verification
+    /// (traversal, lower bound and routing), in nanoseconds — the
     /// serial section sharding cannot parallelize.
     router_busy_ns: AtomicU64,
+}
+
+/// Which verification the owner shard runs per candidate: ATSQ's `Dmm`
+/// (Algorithm 3 per query point) or OATSQ's `Dmom` (MIB filter plus
+/// Algorithm 4 with the `dk` early exit).
+#[derive(Clone, Copy)]
+enum Verify {
+    Atsq,
+    Oatsq,
 }
 
 /// The tuned configuration a shard over `shard_dataset` builds with:
@@ -194,23 +185,18 @@ impl ShardedEngine {
         // function of (dataset, base config) and rebuilds in one
         // occurrence pass on snapshot loads too. Its grid depth is
         // tuned to the *full* dataset volume by the same rule shards
-        // use — the router traversal is the serialized prefix of
-        // every query's critical path, so an over-deep grid there
-        // costs latency no shard parallelism can recover.
+        // use — the router traversal is the serial part of every
+        // query, so an over-deep grid there costs latency directly.
         let router = RouterIndex::build(dataset, shard_config(&config, dataset))?;
         let shards = membership
             .into_iter()
             .enumerate()
             .map(|(i, members)| {
                 let shard_dataset = dataset.subset(&members);
-                let b = shard_dataset.bounds();
-                let center = Point::new((b.min.x + b.max.x) / 2.0, (b.min.y + b.max.y) / 2.0);
                 let index = index_for(i, &shard_dataset)?;
                 Ok(Shard {
                     dataset: shard_dataset,
                     index,
-                    to_global: members,
-                    center,
                     busy_ns: AtomicU64::new(0),
                 })
             })
@@ -222,7 +208,6 @@ impl ShardedEngine {
             config,
             router,
             owner,
-            shared_traversal: true,
             // ordering: Relaxed everywhere this counter is touched —
             // advisory busy-time tally, no memory published through it.
             router_busy_ns: AtomicU64::new(0),
@@ -255,31 +240,17 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Toggles the single-pass shared traversal (on by default). With
-    /// `false`, queries fall back to PR 2's per-shard retrieval
-    /// cascade — ~S× the traversal work, kept for differential tests
-    /// and before/after benches.
-    pub fn with_shared_traversal(mut self, on: bool) -> Self {
-        self.shared_traversal = on;
-        self
-    }
-
-    /// Whether queries use the single-pass shared traversal.
-    pub fn shared_traversal(&self) -> bool {
-        self.shared_traversal
-    }
-
-    /// I/O counters of the shared-traversal router (cold HICL reads of
-    /// the single-pass candidate generation). Engine totals are the
-    /// sum of [`ShardedEngine::per_shard_stats`] and this snapshot.
+    /// I/O counters of the router (cold HICL reads of candidate
+    /// retrieval). Engine totals are the sum of
+    /// [`ShardedEngine::per_shard_stats`] and this snapshot.
     pub fn router_stats(&self) -> IoSnapshot {
         self.router.stats().snapshot()
     }
 
-    /// Accumulated nanoseconds the coordinator spent inside the shared
-    /// traversal (retrieve + lower bound + routing) — the serial
-    /// section of a sharded query; per-shard verification time is in
-    /// [`ShardedEngine::per_shard_busy_ns`].
+    /// Accumulated nanoseconds queries spent outside owner-shard
+    /// verification — router traversal, lower bound and routing, the
+    /// serial section of a sharded query; per-shard verification time
+    /// is in [`ShardedEngine::per_shard_busy_ns`].
     pub fn router_busy_ns(&self) -> u64 {
         // ordering: Relaxed — advisory busy-time tally (see field).
         self.router_busy_ns.load(AtomicOrdering::Relaxed)
@@ -326,10 +297,8 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Accumulated per-shard search busy time in nanoseconds, in shard
-    /// order. `max` over shards is the critical path of the measured
-    /// queries (the latency on a host with one core per shard); the
-    /// `sum` is the single-core cost.
+    /// Accumulated per-shard verification time in nanoseconds, in
+    /// shard order (see [`Shard::busy_ns`]).
     pub fn per_shard_busy_ns(&self) -> Vec<u64> {
         self.shards
             .iter()
@@ -357,43 +326,29 @@ impl ShardedEngine {
 
     /// Top-`k` ATSQ across all shards (exact; see module docs).
     pub fn try_atsq(&self, query: &Query, k: usize) -> Result<Vec<QueryResult>> {
-        if self.shared_traversal {
-            return self.shared_top_k(query, k, Verify::Atsq);
-        }
-        let bound = SharedKthBound::new();
-        self.top_k(query, k, |shard, query| {
-            try_atsq_with_bound(&shard.index, &shard.dataset, query, k, Some(&bound))
+        self.routed(query, Verify::Atsq, |evaluate| {
+            search_loop(&self.router, self.total, query, k, evaluate)
         })
     }
 
     /// Top-`k` OATSQ across all shards (exact; see module docs).
     pub fn try_oatsq(&self, query: &Query, k: usize) -> Result<Vec<QueryResult>> {
-        if self.shared_traversal {
-            return self.shared_top_k(query, k, Verify::Oatsq);
-        }
-        let bound = SharedKthBound::new();
-        self.top_k(query, k, |shard, query| {
-            try_oatsq_with_bound(&shard.index, &shard.dataset, query, k, Some(&bound))
+        self.routed(query, Verify::Oatsq, |evaluate| {
+            search_loop(&self.router, self.total, query, k, evaluate)
         })
     }
 
     /// Range ATSQ: every trajectory with `Dmm ≤ tau`, across shards.
     pub fn try_atsq_range(&self, query: &Query, tau: f64) -> Result<Vec<QueryResult>> {
-        if self.shared_traversal {
-            return self.shared_range(query, tau, Verify::Atsq);
-        }
-        self.merged(query, usize::MAX, |shard, query| {
-            try_atsq_range(&shard.index, &shard.dataset, query, tau)
+        self.routed(query, Verify::Atsq, |evaluate| {
+            range_loop(&self.router, self.total, query, tau, evaluate)
         })
     }
 
     /// Range OATSQ: every trajectory with `Dmom ≤ tau`, across shards.
     pub fn try_oatsq_range(&self, query: &Query, tau: f64) -> Result<Vec<QueryResult>> {
-        if self.shared_traversal {
-            return self.shared_range(query, tau, Verify::Oatsq);
-        }
-        self.merged(query, usize::MAX, |shard, query| {
-            try_oatsq_range(&shard.index, &shard.dataset, query, tau)
+        self.routed(query, Verify::Oatsq, |evaluate| {
+            range_loop(&self.router, self.total, query, tau, evaluate)
         })
     }
 
@@ -419,430 +374,63 @@ impl ShardedEngine {
             .expect("sharded range OATSQ failed")
     }
 
-    fn top_k(
+    /// Runs `search` — an Algorithm-1 loop over the router — with an
+    /// evaluator that verifies each candidate on its owner shard, then
+    /// books the query's busy time: each shard's verification time to
+    /// that shard (and to the active per-query counter scope, if any),
+    /// the remainder to the router.
+    fn routed(
         &self,
         query: &Query,
-        k: usize,
-        run: impl Fn(&Shard, &Query) -> Result<Vec<QueryResult>> + Sync,
-    ) -> Result<Vec<QueryResult>> {
-        self.merged(query, k, run)
-    }
-
-    /// Runs `run` on every shard, remaps local ids to global ids, and
-    /// re-ranks the union.
-    ///
-    /// Shards are visited in ascending distance from the query's
-    /// centroid: the nearest shard is the likeliest to hold the final
-    /// top-k, so searching it first publishes a tight shared bound
-    /// that lets far shards exit at their entry check. With more than
-    /// one core, `min(S, parallelism)` scoped workers drain the
-    /// proximity-ordered shard list; on a single core the same order
-    /// degenerates to the sequential cascade.
-    fn merged(
-        &self,
-        query: &Query,
-        k: usize,
-        run: impl Fn(&Shard, &Query) -> Result<Vec<QueryResult>> + Sync,
-    ) -> Result<Vec<QueryResult>> {
-        let run = |i: usize, query: &Query| {
-            let shard = &self.shards[i];
-            let t0 = std::time::Instant::now();
-            let out = run(shard, query);
-            let ns = t0.elapsed().as_nanos() as u64;
-            // ordering: Relaxed — independent busy-time tally; no
-            // memory is published through it.
-            shard.busy_ns.fetch_add(ns, AtomicOrdering::Relaxed);
-            // Attribute the same busy time to the active per-query
-            // counter context, keyed by shard (no-op outside a scope).
-            atsq_obs::record_shard_busy(i, ns);
-            out
-        };
-        let qc = centroid(query.points.iter().map(|p| p.loc));
-        let mut order: Vec<usize> = (0..self.shards.len()).collect();
-        order.sort_by(|&a, &b| {
-            let da = qc.dist(&self.shards[a].center);
-            let db = qc.dist(&self.shards[b].center);
-            da.partial_cmp(&db)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(order.len());
-
-        let mut per_shard: Vec<Option<Result<Vec<QueryResult>>>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        if threads <= 1 || order.len() <= 1 {
-            for &i in &order {
-                per_shard[i] = Some(run(i, query));
-            }
-        } else {
-            let slots: Vec<parking_lot::Mutex<Option<Result<Vec<QueryResult>>>>> = per_shard
-                .iter()
-                .map(|_| parking_lot::Mutex::new(None))
-                .collect();
-            let cursor = AtomicUsize::new(0);
-            // The coordinating thread's per-query counter context (if
-            // any) must follow the work onto the shard workers, or the
-            // query's I/O counts would vanish into untracked threads.
-            let sink = atsq_obs::current_sink();
-            // `scope` joins every worker and re-raises panics before
-            // returning, so every slot is filled on exit.
-            std::thread::scope(|scope| {
-                let (run, slots, order, cursor) = (&run, &slots, &order, &cursor);
-                for _ in 0..threads {
-                    let sink = sink.clone();
-                    scope.spawn(move || {
-                        let _ctx = sink.map(atsq_obs::CounterScope::enter);
-                        loop {
-                            // ordering: Relaxed — work-stealing
-                            // cursor; atomicity hands each shard to
-                            // one worker, results travel through the
-                            // slot mutexes.
-                            let next = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                            let Some(&i) = order.get(next) else { break };
-                            *slots[i].lock() = Some(run(i, query));
-                        }
-                    });
-                }
-            });
-            for (slot, out) in slots.into_iter().zip(per_shard.iter_mut()) {
-                *out = slot.into_inner();
-            }
-        }
-
-        let mut all = Vec::new();
-        for (shard, results) in self.shards.iter().zip(per_shard) {
-            for r in results.expect("invariant: every shard index is visited by the order list")? {
-                all.push(QueryResult::new(
-                    shard.to_global[r.trajectory.index()],
-                    r.distance,
-                ));
-            }
-        }
-        Ok(rank_top_k(all, k))
-    }
-
-    // -----------------------------------------------------------------
-    // The single-pass shared-traversal query path
-    // -----------------------------------------------------------------
-
-    /// Verification workers a query may use: one per shard, capped by
-    /// the host's parallelism.
-    fn worker_threads(&self) -> usize {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(self.shards.len())
-    }
-
-    /// Streams one retrieved batch to owner shards. Each candidate is
-    /// charged to the shard that will verify it — `candidates_
-    /// retrieved` keeps summing to the single traversal's output, now
-    /// attributed by ownership instead of duplicated per shard.
-    fn route(&self, batch: &[TrajectoryId], groups: &mut [Vec<(TrajectoryId, TrajectoryId)>]) {
-        for &g in batch {
-            let (s, local) = self.owner[g.index()];
-            self.shards[s as usize].index.stats().record_candidate();
-            groups[s as usize].push((TrajectoryId(local), g));
-        }
-    }
-
-    /// Top-`k` over ONE router traversal: candidates stream to their
-    /// owning shard for TAS/APL verification against a single global
-    /// top-k heap.
-    ///
-    /// Exactness: the router retrieves the same candidate stream a
-    /// single index would (same grid, HICL, ITL over the same data),
-    /// each candidate's distance is computed from its full trajectory
-    /// by the owner shard (bit-identical to the single-index math),
-    /// and the bounded heap's content is order-independent (see
-    /// [`TopK`]). The `dk` handed to OATSQ's early exit is always ≥
-    /// the final k-th best, so only trajectories strictly outside the
-    /// answer set are ever suppressed — the same argument that makes
-    /// the [`SharedKthBound`] cascade exact, applied batch-locally.
-    fn shared_top_k(&self, query: &Query, k: usize, kind: Verify) -> Result<Vec<QueryResult>> {
-        self.shared_top_k_with_threads(query, k, kind, self.worker_threads())
-    }
-
-    fn shared_top_k_with_threads(
-        &self,
-        query: &Query,
-        k: usize,
         kind: Verify,
-        threads: usize,
+        search: impl FnOnce(
+            &mut dyn FnMut(TrajectoryId, f64) -> Result<Option<f64>>,
+        ) -> Result<Vec<QueryResult>>,
     ) -> Result<Vec<QueryResult>> {
-        if k == 0 || self.total == 0 {
-            return Ok(Vec::new());
-        }
         let all_acts = query.all_activities();
-        let lambda = self.config.lambda;
-        let mut router_ns = 0u64;
+        let mut scratch = ScoreScratch::new();
+        let mut shard_ns = vec![0u64; self.shards.len()];
         let t0 = Instant::now();
-        let mut retrieval = Retrieval::new(&self.router, self.total, query)?;
-        router_ns += t0.elapsed().as_nanos() as u64;
-        let mut top = TopK::new(k);
-        let mut groups: Vec<Vec<(TrajectoryId, TrajectoryId)>> =
-            self.shards.iter().map(|_| Vec::new()).collect();
-        let mut scratches: Vec<ScoreScratch> =
-            self.shards.iter().map(|_| ScoreScratch::new()).collect();
-
-        loop {
-            let t0 = Instant::now();
-            let batch = retrieval.retrieve_batch(lambda)?;
-            self.route(&batch, &mut groups);
-            router_ns += t0.elapsed().as_nanos() as u64;
-
-            let active = groups.iter().filter(|g| !g.is_empty()).count();
-            if threads > 1 && active > 1 {
-                // Fan out by shard; workers prune against the k-th
-                // best as of the batch start (≥ the final k-th best,
-                // so pruning stays strict — see the method docs).
-                let found = self.verify_groups_parallel(
-                    kind,
+        let results = search(&mut |global, dk| {
+            let (s, local) = self.owner[global.index()];
+            let shard = &self.shards[s as usize];
+            let local = TrajectoryId(local);
+            let t = Instant::now();
+            let dist = match kind {
+                Verify::Atsq => evaluate_atsq(
+                    &shard.index,
+                    &shard.dataset,
                     query,
                     &all_acts,
-                    &groups,
-                    &mut scratches,
-                    top.kth(),
-                )?;
-                for (d, g) in found {
-                    top.offer(d, g);
+                    local,
+                    &mut scratch,
+                ),
+                Verify::Oatsq => {
+                    evaluate_oatsq(&shard.index, &shard.dataset, query, &all_acts, local, dk)
                 }
-            } else {
-                // Sequential: verify in shard order against the live
-                // k-th best, like the single-index inner loop.
-                for (s, group) in groups.iter().enumerate() {
-                    if group.is_empty() {
-                        continue;
-                    }
-                    let shard = &self.shards[s];
-                    let t0 = Instant::now();
-                    for &(local, global) in group {
-                        if let Some(d) = verify_one(
-                            kind,
-                            shard,
-                            query,
-                            &all_acts,
-                            local,
-                            top.kth(),
-                            &mut scratches[s],
-                        )? {
-                            top.offer(d, global);
-                        }
-                    }
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    // ordering: Relaxed — advisory busy-time tally.
-                    shard.busy_ns.fetch_add(ns, AtomicOrdering::Relaxed);
-                    atsq_obs::record_shard_busy(s, ns);
-                }
-            }
-            for g in &mut groups {
-                g.clear();
-            }
-
-            if retrieval.exhausted() {
-                break;
-            }
-            let t0 = Instant::now();
-            let dlb = retrieval.lower_bound()?;
-            router_ns += t0.elapsed().as_nanos() as u64;
-            if top.kth() < dlb {
-                break;
-            }
-        }
-        // ordering: Relaxed — advisory busy-time tally.
-        self.router_busy_ns
-            .fetch_add(router_ns, AtomicOrdering::Relaxed);
-        Ok(rank_top_k(top.into_results(), k))
-    }
-
-    /// Range query over one router traversal (see
-    /// [`ShardedEngine::shared_top_k`]); `tau` replaces the k-th-best
-    /// bound everywhere, exactly as in the single-index range loop.
-    fn shared_range(&self, query: &Query, tau: f64, kind: Verify) -> Result<Vec<QueryResult>> {
-        let mut out = Vec::new();
-        if self.total == 0 || tau < 0.0 {
-            return Ok(out);
-        }
-        let threads = self.worker_threads();
-        let all_acts = query.all_activities();
-        let lambda = self.config.lambda;
-        let mut router_ns = 0u64;
-        let t0 = Instant::now();
-        let mut retrieval = Retrieval::new(&self.router, self.total, query)?;
-        router_ns += t0.elapsed().as_nanos() as u64;
-        let mut groups: Vec<Vec<(TrajectoryId, TrajectoryId)>> =
-            self.shards.iter().map(|_| Vec::new()).collect();
-        let mut scratches: Vec<ScoreScratch> =
-            self.shards.iter().map(|_| ScoreScratch::new()).collect();
-
-        loop {
-            let t0 = Instant::now();
-            let batch = retrieval.retrieve_batch(lambda)?;
-            self.route(&batch, &mut groups);
-            router_ns += t0.elapsed().as_nanos() as u64;
-
-            let active = groups.iter().filter(|g| !g.is_empty()).count();
-            if threads > 1 && active > 1 {
-                let found = self.verify_groups_parallel(
-                    kind,
-                    query,
-                    &all_acts,
-                    &groups,
-                    &mut scratches,
-                    tau,
-                )?;
-                for (d, g) in found {
-                    if d <= tau {
-                        out.push(QueryResult::new(g, d));
-                    }
-                }
-            } else {
-                for (s, group) in groups.iter().enumerate() {
-                    if group.is_empty() {
-                        continue;
-                    }
-                    let shard = &self.shards[s];
-                    let t0 = Instant::now();
-                    for &(local, global) in group {
-                        if let Some(d) = verify_one(
-                            kind,
-                            shard,
-                            query,
-                            &all_acts,
-                            local,
-                            tau,
-                            &mut scratches[s],
-                        )? {
-                            if d <= tau {
-                                out.push(QueryResult::new(global, d));
-                            }
-                        }
-                    }
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    // ordering: Relaxed — advisory busy-time tally.
-                    shard.busy_ns.fetch_add(ns, AtomicOrdering::Relaxed);
-                    atsq_obs::record_shard_busy(s, ns);
-                }
-            }
-            for g in &mut groups {
-                g.clear();
-            }
-
-            if retrieval.exhausted() {
-                break;
-            }
-            let t0 = Instant::now();
-            let dlb = retrieval.lower_bound()?;
-            router_ns += t0.elapsed().as_nanos() as u64;
-            if dlb > tau {
-                break;
-            }
-        }
-        // ordering: Relaxed — advisory busy-time tally.
-        self.router_busy_ns
-            .fetch_add(router_ns, AtomicOrdering::Relaxed);
-        Ok(rank_top_k(out, usize::MAX))
-    }
-
-    /// Verifies all shard groups of one batch on scoped worker
-    /// threads, one per non-empty shard, pruning against `dk`.
-    /// Results come back in shard order; panics propagate.
-    fn verify_groups_parallel(
-        &self,
-        kind: Verify,
-        query: &Query,
-        all_acts: &ActivitySet,
-        groups: &[Vec<(TrajectoryId, TrajectoryId)>],
-        scratches: &mut [ScoreScratch],
-        dk: f64,
-    ) -> Result<Vec<(f64, TrajectoryId)>> {
-        // The coordinating thread's per-query counter context (if any)
-        // must follow the work onto the verification workers, or the
-        // query's I/O counts would vanish into untracked threads.
-        let sink = atsq_obs::current_sink();
-        let mut results: Vec<Result<Vec<(f64, TrajectoryId)>>> = Vec::with_capacity(groups.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(groups.len());
-            for ((s, group), scratch) in groups.iter().enumerate().zip(scratches.iter_mut()) {
-                if group.is_empty() {
-                    continue;
-                }
-                let shard = &self.shards[s];
-                let sink = sink.clone();
-                handles.push(scope.spawn(move || {
-                    let _ctx = sink.map(atsq_obs::CounterScope::enter);
-                    let t0 = Instant::now();
-                    let mut found = Vec::new();
-                    let mut status = Ok(());
-                    for &(local, global) in group {
-                        match verify_one(kind, shard, query, all_acts, local, dk, scratch) {
-                            Ok(Some(d)) => found.push((d, global)),
-                            Ok(None) => {}
-                            Err(e) => {
-                                status = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    // ordering: Relaxed — advisory busy-time tally.
-                    shard.busy_ns.fetch_add(ns, AtomicOrdering::Relaxed);
-                    atsq_obs::record_shard_busy(s, ns);
-                    status.map(|()| found)
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(r) => results.push(r),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
+            };
+            shard_ns[s as usize] += t.elapsed().as_nanos() as u64;
+            dist
         });
-        let mut merged = Vec::new();
-        for r in results {
-            merged.extend(r?);
+        let total_ns = t0.elapsed().as_nanos() as u64;
+        for (i, (shard, &ns)) in self.shards.iter().zip(&shard_ns).enumerate() {
+            if ns > 0 {
+                // ordering: Relaxed — advisory busy-time tally.
+                shard.busy_ns.fetch_add(ns, AtomicOrdering::Relaxed);
+                atsq_obs::record_shard_busy(i, ns);
+            }
         }
-        Ok(merged)
-    }
-}
-
-/// Which verification pipeline the shared traversal drives per
-/// candidate: ATSQ's `Dmm` (Algorithm 3 per query point) or OATSQ's
-/// `Dmom` (MIB filter + Algorithm 4 with the `dk` early exit).
-#[derive(Clone, Copy)]
-enum Verify {
-    Atsq,
-    Oatsq,
-}
-
-/// One candidate's shard-local verification: TAS sketch → APL postings
-/// → distance, on the owner shard's index and sub-dataset.
-fn verify_one(
-    kind: Verify,
-    shard: &Shard,
-    query: &Query,
-    all_acts: &ActivitySet,
-    local: TrajectoryId,
-    dk: f64,
-    scratch: &mut ScoreScratch,
-) -> Result<Option<f64>> {
-    match kind {
-        Verify::Atsq => evaluate_atsq(
-            &shard.index,
-            &shard.dataset,
-            query,
-            all_acts,
-            local,
-            scratch,
-        ),
-        Verify::Oatsq => evaluate_oatsq(&shard.index, &shard.dataset, query, all_acts, local, dk),
+        let verify_ns: u64 = shard_ns.iter().sum();
+        // ordering: Relaxed — advisory busy-time tally.
+        self.router_busy_ns
+            .fetch_add(total_ns.saturating_sub(verify_ns), AtomicOrdering::Relaxed);
+        results
     }
 }
 
 /// Assigns ids `0..n` to shards by multiplicative (Fibonacci) hashing.
 /// Iterating ids in ascending order keeps every membership list
-/// ascending, which the tie-break argument in the module docs needs.
+/// ascending, so local ids follow global id order.
 fn hash_assign(n: usize, shards: usize) -> Vec<Vec<TrajectoryId>> {
     let mut out = vec![Vec::new(); shards];
     for id in 0..n as u32 {
@@ -868,10 +456,13 @@ fn spatial_assign(dataset: &Dataset, shards: usize) -> Vec<Vec<TrajectoryId>> {
         .trajectories()
         .iter()
         .map(|tr| {
-            let c = centroid(tr.points.iter().map(|p| p.loc));
+            // Centroid of the trajectory's points (empty: the origin).
+            let n = tr.points.len().max(1) as f64;
+            let x = tr.points.iter().map(|p| p.loc.x).sum::<f64>() / n;
+            let y = tr.points.iter().map(|p| p.loc.y).sum::<f64>() / n;
             let code = morton_encode(
-                norm(c.x, bounds.min.x, bounds.width()),
-                norm(c.y, bounds.min.y, bounds.height()),
+                norm(x, bounds.min.x, bounds.width()),
+                norm(y, bounds.min.y, bounds.height()),
             );
             (code, tr.id)
         })
@@ -894,24 +485,10 @@ fn spatial_assign(dataset: &Dataset, shards: usize) -> Vec<Vec<TrajectoryId>> {
     out
 }
 
-fn centroid(points: impl Iterator<Item = Point>) -> Point {
-    let (mut x, mut y, mut n) = (0.0f64, 0.0f64, 0usize);
-    for p in points {
-        x += p.x;
-        y += p.y;
-        n += 1;
-    }
-    if n == 0 {
-        Point::new(0.0, 0.0)
-    } else {
-        Point::new(x / n as f64, y / n as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atsq_types::{ActivitySet, DatasetBuilder, QueryPoint, TrajectoryPoint};
+    use atsq_types::{ActivitySet, DatasetBuilder, Point, QueryPoint, TrajectoryPoint};
 
     fn dataset(n: usize) -> Dataset {
         let mut b = DatasetBuilder::new().without_frequency_ranking();
@@ -959,18 +536,17 @@ mod tests {
                 assert_eq!(engine.shard_count(), s);
                 let sizes = engine.shard_sizes();
                 assert_eq!(sizes.iter().sum::<usize>(), d.len());
-                let mut seen = vec![false; d.len()];
-                for shard in &engine.shards {
-                    assert!(
-                        shard.to_global.windows(2).all(|w| w[0] < w[1]),
-                        "membership must ascend for deterministic tie-breaks"
-                    );
-                    for id in &shard.to_global {
-                        assert!(!seen[id.index()], "{id} assigned twice");
-                        seen[id.index()] = true;
-                    }
+                // Every global id owns a distinct in-range local slot,
+                // and local ids ascend with global ids in each shard.
+                let mut seen = std::collections::HashSet::new();
+                let mut last_local = vec![None; s];
+                for &(shard, local) in &engine.owner {
+                    let shard = shard as usize;
+                    assert!(seen.insert((shard, local)), "slot assigned twice");
+                    assert!((local as usize) < sizes[shard]);
+                    assert!(last_local[shard] < Some(local), "local ids must ascend");
+                    last_local[shard] = Some(local);
                 }
-                assert!(seen.iter().all(|&s| s));
             }
         }
         // Spatial chunks are balanced to within one trajectory.
@@ -1055,41 +631,10 @@ mod tests {
         assert!(engine.atsq_range(&q, 10.0).is_empty());
     }
 
-    /// The scoped-thread verification fan-out must return exactly the
-    /// sequential answer. `worker_threads()` collapses to 1 on a
-    /// single-core host, so force the parallel path explicitly.
-    #[test]
-    fn parallel_verify_path_matches_single_index() {
-        let d = dataset(60);
-        let single = GatIndex::build(&d).unwrap();
-        for partition in [Partition::Hash, Partition::Spatial] {
-            let engine = ShardedEngine::build(&d, 4, partition).unwrap();
-            for q in [query(10.0, 10.0), query(50.0, 80.0)] {
-                for k in [1usize, 3, 9] {
-                    assert_eq!(
-                        engine
-                            .shared_top_k_with_threads(&q, k, Verify::Atsq, 3)
-                            .unwrap(),
-                        crate::search::atsq(&single, &d, &q, k),
-                        "parallel ATSQ diverged ({partition})"
-                    );
-                    assert_eq!(
-                        engine
-                            .shared_top_k_with_threads(&q, k, Verify::Oatsq, 3)
-                            .unwrap(),
-                        crate::search::oatsq(&single, &d, &q, k),
-                        "parallel OATSQ diverged ({partition})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// One shared traversal generates exactly the single-index
+    /// One router traversal generates exactly the single-index
     /// candidate stream, attributed to owner shards: the per-shard
-    /// candidate counts sum to the single index's count instead of
-    /// the legacy ~S× duplication, and traversal work lands on the
-    /// router.
+    /// candidate counts sum to the single index's count, and traversal
+    /// work lands on the router.
     #[test]
     fn shared_traversal_work_sums_to_single_index() {
         let d = dataset(60);
@@ -1112,7 +657,7 @@ mod tests {
             .sum();
         assert_eq!(
             sharded_candidates, single_candidates,
-            "shared traversal must not multiply candidate work"
+            "sharding must not multiply candidate work"
         );
         assert_eq!(
             engine.router_stats().candidates_retrieved,
@@ -1121,7 +666,7 @@ mod tests {
         );
         assert!(
             engine.router_busy_ns() > 0,
-            "the shared traversal must accrue router busy time"
+            "the router traversal must accrue busy time"
         );
         engine.reset_stats();
         assert_eq!(engine.router_busy_ns(), 0);

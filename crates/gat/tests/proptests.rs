@@ -231,9 +231,9 @@ proptest! {
     /// Sharding is a pure execution strategy: for any shard count,
     /// either partitioner, and all four query kinds, the sharded
     /// engine returns exactly the single-index answer — ids,
-    /// distances and tie-breaks included. This is the Theorem-level
-    /// guarantee behind serving one logical index from S parallel
-    /// shards with a shared k-th-best bound.
+    /// distances and tie-breaks included. This is the guarantee
+    /// behind running one Algorithm-1 loop over the router and
+    /// verifying each candidate on its owner shard.
     #[test]
     fn sharded_engine_equals_single_index(
         dataset in arb_dataset(),
@@ -246,41 +246,27 @@ proptest! {
         use atsq_gat::{Partition, ShardedEngine};
         let partition = if spatial { Partition::Spatial } else { Partition::Hash };
         let single = GatIndex::build(&dataset).expect("single index");
-        // Both execution strategies must agree with the single index:
-        // the default single-pass shared traversal (one router pass,
-        // candidates verified by their owner shard) and the legacy
-        // per-shard traversal with the shared k-th-best bound.
         let engine = ShardedEngine::build(&dataset, shards, partition)
             .expect("sharded engine");
-        prop_assert!(engine.shared_traversal(), "shared traversal is the default");
-        let fallback = ShardedEngine::build(&dataset, shards, partition)
-            .expect("sharded engine")
-            .with_shared_traversal(false);
-        let atsq_want = atsq_gat::atsq(&single, &dataset, &query, k);
-        let oatsq_want = atsq_gat::oatsq(&single, &dataset, &query, k);
-        let atsq_range_want = atsq_gat::atsq_range(&single, &dataset, &query, tau);
-        let oatsq_range_want = atsq_gat::oatsq_range(&single, &dataset, &query, tau);
-        for (engine, path) in [(&engine, "shared"), (&fallback, "per-shard")] {
-            prop_assert_eq!(
-                engine.atsq(&query, k),
-                atsq_want.clone(),
-                "ATSQ diverged (S={}, {}, {})", shards, partition, path
-            );
-            prop_assert_eq!(
-                engine.oatsq(&query, k),
-                oatsq_want.clone(),
-                "OATSQ diverged (S={}, {}, {})", shards, partition, path
-            );
-            prop_assert_eq!(
-                engine.atsq_range(&query, tau),
-                atsq_range_want.clone(),
-                "range ATSQ diverged (S={}, {}, {})", shards, partition, path
-            );
-            prop_assert_eq!(
-                engine.oatsq_range(&query, tau),
-                oatsq_range_want.clone(),
-                "range OATSQ diverged (S={}, {}, {})", shards, partition, path
-            );
-        }
+        prop_assert_eq!(
+            engine.atsq(&query, k),
+            atsq_gat::atsq(&single, &dataset, &query, k),
+            "ATSQ diverged (S={}, {})", shards, partition
+        );
+        prop_assert_eq!(
+            engine.oatsq(&query, k),
+            atsq_gat::oatsq(&single, &dataset, &query, k),
+            "OATSQ diverged (S={}, {})", shards, partition
+        );
+        prop_assert_eq!(
+            engine.atsq_range(&query, tau),
+            atsq_gat::atsq_range(&single, &dataset, &query, tau),
+            "range ATSQ diverged (S={}, {})", shards, partition
+        );
+        prop_assert_eq!(
+            engine.oatsq_range(&query, tau),
+            atsq_gat::oatsq_range(&single, &dataset, &query, tau),
+            "range OATSQ diverged (S={}, {})", shards, partition
+        );
     }
 }

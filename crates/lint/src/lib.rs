@@ -20,7 +20,7 @@
 //!    in the allowlist, so each one is a recorded decision.
 //! 3. **`panic-hot-path`** — `unwrap()` / `expect(…)` / `panic!` are
 //!    denied in the request hot path (server, service, wire, queue,
-//!    sharded engine, batch executor). An `.expect(…)` whose message
+//!    sharded engine). An `.expect(…)` whose message
 //!    contains `invariant` is allowed — it documents a structurally
 //!    impossible failure rather than an error path.
 //! 4. **`atomic-snapshot-coherence`** — a function that loads two or
@@ -155,7 +155,6 @@ const HOT_PATHS: &[&str] = &[
     "crates/service/src/wire.rs",
     "crates/service/src/queue.rs",
     "crates/gat/src/sharded.rs",
-    "crates/core/src/batch.rs",
 ];
 
 /// Blocking-I/O markers for the `lock-hold` rule. Matched as plain

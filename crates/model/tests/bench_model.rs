@@ -13,7 +13,6 @@ use atsq_model::check::{explore, Config, Report};
 fn bench_model_json() {
     let targets: Vec<(&str, fn())> = vec![
         ("racing_increments", common::targets::racing_increments),
-        ("fetch_min", common::targets::fetch_min),
         ("single_flight", common::targets::single_flight),
         ("lease_pin", common::targets::lease_pin),
         ("queue", common::targets::queue),

@@ -4,12 +4,10 @@
 //! these.
 //!
 //! Ports mirror (line-for-line where the borrow checker allows):
-//! - `SharedKthBound` (crates/gat/src/search.rs) — lock-free
-//!   `fetch_min` on f64 bits, Relaxed.
 //! - `CityRegistry` single-flight + lease-pinned eviction
 //!   (crates/tenant/src/registry.rs).
 //! - `BoundedQueue` (crates/service/src/queue.rs) — fail-fast push,
-//!   blocking batched pop, close-drains-then-ends.
+//!   blocking single-item pop, close-drains-then-ends.
 //! - `CounterSink`/`CounterScope` (crates/obs/src/counters.rs) —
 //!   LIFO scope flush into shared atomic sinks.
 
@@ -20,38 +18,6 @@ use atsq_model::check::atomic::{AtomicU64, Ordering};
 use atsq_model::check::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-// ---- SharedKthBound ----------------------------------------------------
-
-/// Port of `SharedKthBound`: non-negative f64 bits order like the
-/// floats themselves, so integer `fetch_min` is float min.
-pub struct KthBound(AtomicU64);
-
-impl KthBound {
-    pub fn new() -> Self {
-        KthBound(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    pub fn get(&self) -> f64 {
-        // ordering: Relaxed — the value is the whole payload.
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    pub fn tighten(&self, dist: f64) {
-        // ordering: Relaxed — monotonicity comes from fetch_min itself.
-        self.0.fetch_min(dist.to_bits(), Ordering::Relaxed);
-    }
-
-    /// BROKEN TWIN: the load-then-store race `fetch_min` exists to
-    /// prevent. A concurrent tighten between the load and the store is
-    /// lost (and can even move the bound back *up*).
-    pub fn tighten_racy(&self, dist: f64) {
-        let cur = f64::from_bits(self.0.load(Ordering::Relaxed));
-        if dist < cur {
-            self.0.store(dist.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
 
 // ---- CityRegistry single-flight ---------------------------------------
 
@@ -247,8 +213,8 @@ pub struct QueueInner {
     pub closed: bool,
 }
 
-/// Port of `service/queue.rs`: fail-fast `try_push`, blocking batched
-/// `pop_batch`, `close` drains then ends.
+/// Port of `service/queue.rs`: fail-fast `try_push`, blocking `pop`,
+/// `close` drains then ends.
 pub struct Queue {
     pub inner: Mutex<QueueInner>,
     pub available: Condvar,
@@ -291,7 +257,7 @@ impl Queue {
         true
     }
 
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<u32>> {
+    pub fn pop(&self) -> Option<u32> {
         let mut g = self.inner.lock();
         loop {
             assert!(
@@ -300,15 +266,8 @@ impl Queue {
                 g.items.len(),
                 self.capacity
             );
-            if !g.items.is_empty() {
-                let n = g.items.len().min(max);
-                let batch: Vec<u32> = g.items.drain(..n).collect();
-                let more = !g.items.is_empty();
-                drop(g);
-                if more {
-                    self.available.notify_one();
-                }
-                return Some(batch);
+            if let Some(v) = g.items.pop_front() {
+                return Some(v);
             }
             if g.closed {
                 return None;
@@ -423,29 +382,6 @@ pub mod targets {
         assert!(v == 1 || v == 2, "impossible final value {v}");
     }
 
-    /// `SharedKthBound::fetch_min`: monotone non-increasing under a
-    /// concurrent reader, ties preserved, and no lost update — the
-    /// final bound is the exact min of every tighten.
-    pub fn fetch_min() {
-        let b = Arc::new(KthBound::new());
-        let writers: Vec<_> = [5.0_f64, 3.0, 3.0]
-            .into_iter()
-            .map(|d| {
-                let b = Arc::clone(&b);
-                thread::spawn(move || b.tighten(d))
-            })
-            .collect();
-        // Main doubles as the concurrent reader: the bound may only
-        // ratchet down.
-        let first = b.get();
-        let second = b.get();
-        assert!(second <= first, "bound went back up: {first} -> {second}");
-        for w in writers {
-            w.join().unwrap();
-        }
-        assert_eq!(b.get(), 3.0, "lost update: final bound is not the min");
-    }
-
     /// Single-flight: N concurrent first queries run the factory
     /// exactly once, and no waiter is lost (a lost wakeup would
     /// surface as a model deadlock).
@@ -496,8 +432,8 @@ pub mod targets {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut got = Vec::new();
-                while let Some(batch) = q.pop_batch(2) {
-                    got.extend(batch);
+                while let Some(v) = q.pop() {
+                    got.push(v);
                 }
                 got
             })

@@ -12,10 +12,9 @@
 //!    [`CounterScope::enter`] guard pointing at the request's own
 //!    [`CounterSink`]. On drop, the guard flushes the thread-local
 //!    *delta* accumulated since entry into the sink.
-//! 3. Engines that fan work out to scoped worker threads propagate the
-//!    context by capturing [`current_sink`] on the coordinating thread
-//!    and entering a scope with the same sink inside each worker; the
-//!    per-thread deltas sum in the shared sink.
+//! 3. A query runs on the thread that entered its scope; a sink may
+//!    still be shared, since scopes on several threads can target it
+//!    and their deltas sum.
 //!
 //! Scopes nest (inner work is visible to outer scopes, since an outer
 //! baseline is older), and when no scope is active a `record_*` call
@@ -81,8 +80,8 @@ impl QueryCounters {
 }
 
 /// The destination of one query's counter deltas. Atomic because
-/// several worker threads (sharded engine, batch executor) may flush
-/// into the same query's sink concurrently.
+/// scopes on several threads may flush into the same sink
+/// concurrently.
 #[derive(Debug, Default)]
 pub struct CounterSink {
     candidates: AtomicU64,
@@ -108,8 +107,8 @@ impl CounterSink {
             return;
         }
         // ordering: Relaxed — independent monotone tallies; the sink
-        // is read after the query's worker threads are joined, and
-        // the join itself provides the happens-before edge.
+        // is read after the flushing scopes have dropped (and their
+        // threads joined), which provides the happens-before edge.
         self.candidates
             .fetch_add(delta.candidates, Ordering::Relaxed);
         self.distance_evals
@@ -264,14 +263,6 @@ pub fn record_shard_busy(shard: usize, ns: u64) {
     });
 }
 
-/// The sink of the innermost active scope on this thread, if any.
-/// Engines that fan a query out to worker threads capture this on the
-/// coordinating thread and [`CounterScope::enter`] it inside each
-/// worker, so the workers' counts land in the same query's sink.
-pub fn current_sink() -> Option<Arc<CounterSink>> {
-    CTX.with(|c| c.stack.borrow().last().map(|f| f.sink.clone()))
-}
-
 /// An RAII counter scope: everything recorded on this thread between
 /// `enter` and drop is flushed into the given sink.
 ///
@@ -379,10 +370,9 @@ mod tests {
         {
             let _scope = CounterScope::enter(sink.clone());
             record_candidate();
-            let shared = current_sink().expect("active scope");
             std::thread::scope(|scope| {
                 for _ in 0..4 {
-                    let shared = shared.clone();
+                    let shared = sink.clone();
                     scope.spawn(move || {
                         let _s = CounterScope::enter(shared);
                         record_candidate();
@@ -399,12 +389,14 @@ mod tests {
     }
 
     #[test]
-    fn no_scope_means_no_current_sink() {
-        assert!(current_sink().is_none());
+    fn records_after_the_scope_drops_are_no_ops() {
         let sink = CounterSink::new();
-        let scope = CounterScope::enter(sink);
-        assert!(current_sink().is_some());
+        let scope = CounterScope::enter(sink.clone());
+        record_shard_busy(0, 5);
         drop(scope);
-        assert!(current_sink().is_none());
+        record_candidate();
+        record_shard_busy(0, 7);
+        assert!(sink.counters().is_zero());
+        assert_eq!(sink.shard_busy_ns(), vec![5]);
     }
 }

@@ -12,8 +12,7 @@
 //!   Engine hot paths call the free `record_*` functions (one
 //!   thread-local read and branch when no scope is active); concurrent
 //!   queries each carry their own sink, so their numbers never smear
-//!   the way global-snapshot diffs would. Scopes propagate across the
-//!   engines' scoped worker threads via [`current_sink`].
+//!   the way global-snapshot diffs would.
 //! * [`span`] — monotone **stage clocks**: a [`StageClock`] marks
 //!   request stages (admission → queue → cache → assembly → engine →
 //!   reply) whose durations telescope exactly to the end-to-end
@@ -36,9 +35,8 @@ pub mod slowlog;
 pub mod span;
 
 pub use counters::{
-    current_sink, record_apl_read, record_candidate, record_cold_read, record_distance_eval,
-    record_shard_busy, record_tas_check, record_tas_false_positive, CounterScope, CounterSink,
-    QueryCounters,
+    record_apl_read, record_candidate, record_cold_read, record_distance_eval, record_shard_busy,
+    record_tas_check, record_tas_false_positive, CounterScope, CounterSink, QueryCounters,
 };
 pub use prom::PromText;
 pub use slowlog::{SlowEntry, SlowLog};

@@ -20,16 +20,16 @@ pub enum Stage {
     Admission = 0,
     /// Waiting in the bounded queue for a worker.
     Queue = 1,
-    /// Deadline check and result-cache lookup at batch admission.
+    /// Deadline check and result-cache lookup once a worker has
+    /// popped the request.
     Cache = 2,
-    /// Waiting for the request's micro-batch group to start executing
-    /// (includes earlier groups of the same drained batch).
+    /// From the cache miss to the start of engine execution. Workers
+    /// run one request at a time, so this is only the hand-off; the
+    /// stage stays so the six-stage clock keeps its shape.
     Assembly = 3,
     /// Engine execution.
     Engine = 4,
-    /// From execution end (or cache hit) to the reply send. For
-    /// requests coalesced onto an in-batch duplicate this includes the
-    /// wait for the primary's execution.
+    /// From execution end (or cache hit) to the reply send.
     Reply = 5,
 }
 

@@ -10,18 +10,16 @@
 //! **bounded request queue**:
 //!
 //! ```text
-//!  clients ──submit──▶ BoundedQueue ──pop_batch──▶ workers ──▶ tickets
-//!        ▲ admission       │                        │  ▲
-//!        │ control         └── queue overflow ⇒     │  └─ LRU result
-//!        │ (QueueFull)         rejected             │     cache
-//!        └──────────────────── deadline expiry ◀────┘
+//!  clients ──submit──▶ BoundedQueue ──pop──▶ workers ──▶ tickets
+//!        ▲ admission       │                  │  ▲
+//!        │ control         └── queue overflow │  └─ LRU result
+//!        │ (QueueFull)         ⇒ rejected     │     cache
+//!        └──────────────── deadline expiry ◀──┘
 //! ```
 //!
-//! * **Micro-batching** — workers drain up to `batch_size` requests
-//!   at once (one queue/cache pass per batch), coalesce duplicates of
-//!   the same canonical query into a single execution, and run
-//!   same-shaped top-k groups through [`atsq_core::run_batch`] with
-//!   `batch_threads`-way parallelism for bursty queues.
+//! * **One thread layer** — each worker pops one request and runs it
+//!   to completion on its own thread; the engines spawn no threads, so
+//!   `workers` is the only parallelism knob.
 //! * **Result cache** — an LRU keyed by a canonicalised query
 //!   ([`CacheKey`]): order-insensitive requests hash identically no
 //!   matter how the stops are permuted.

@@ -436,7 +436,6 @@ mod tests {
             dataset.clone(),
             ServiceConfig {
                 workers: 4,
-                batch_size: 8,
                 ..ServiceConfig::default()
             },
         )

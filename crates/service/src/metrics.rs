@@ -68,11 +68,6 @@ pub fn render(
         "Requests whose execution panicked.",
         snap.failed,
     );
-    p.counter(
-        "atsq_requests_coalesced_total",
-        "Requests coalesced onto an identical in-batch request.",
-        snap.coalesced,
-    );
 
     p.counter(
         "atsq_cache_hits_total",
@@ -109,17 +104,6 @@ pub fn render(
         "atsq_uptime_seconds",
         "Time since the service started.",
         snap.uptime.as_secs_f64(),
-    );
-
-    p.counter(
-        "atsq_batches_total",
-        "Micro-batches drained by workers.",
-        snap.batches,
-    );
-    p.counter(
-        "atsq_batched_requests_total",
-        "Requests across all drained micro-batches.",
-        snap.batched_requests,
     );
 
     // Histogram bucket i counts completions in [2^i, 2^(i+1)) µs; the

@@ -1,4 +1,4 @@
-//! A bounded multi-producer multi-consumer queue with batch pops.
+//! A bounded multi-producer multi-consumer queue.
 //!
 //! `Mutex<VecDeque>` + `Condvar` — deliberately simple. The queue is
 //! the service's admission-control point: producers never block
@@ -74,21 +74,14 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocks until at least one item is available, then drains up to
-    /// `max` items in FIFO order. Returns `None` once the queue is
-    /// closed **and** empty — the consumer's signal to exit.
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
-        let max = max.max(1);
+    /// Blocks until an item is available and pops it (FIFO). Returns
+    /// `None` once the queue is closed **and** empty — the consumer's
+    /// signal to exit.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock();
         loop {
-            if !inner.items.is_empty() {
-                let n = inner.items.len().min(max);
-                let batch: Vec<T> = inner.items.drain(..n).collect();
-                if !inner.items.is_empty() {
-                    // More work remains: wake another consumer.
-                    self.available.notify_one();
-                }
-                return Some(batch);
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.closed {
                 return None;
@@ -111,14 +104,14 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn fifo_and_batch_sizes() {
+    fn pops_in_fifo_order() {
         let q = BoundedQueue::new(10);
         for i in 0..7 {
             q.try_push(i).unwrap();
         }
         assert_eq!(q.len(), 7);
-        assert_eq!(q.pop_batch(3), Some(vec![0, 1, 2]));
-        assert_eq!(q.pop_batch(100), Some(vec![3, 4, 5, 6]));
+        let popped: Vec<i32> = (0..7).map(|_| q.pop().unwrap()).collect();
+        assert_eq!(popped, (0..7).collect::<Vec<_>>());
         assert!(q.is_empty());
     }
 
@@ -129,7 +122,7 @@ mod tests {
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         assert_eq!(q.capacity(), 2);
-        q.pop_batch(1);
+        q.pop();
         q.try_push(3).unwrap();
     }
 
@@ -139,8 +132,8 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert_eq!(q.try_push(2), Err(PushError::Closed(2)));
-        assert_eq!(q.pop_batch(8), Some(vec![1]));
-        assert_eq!(q.pop_batch(8), None);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -168,8 +161,8 @@ mod tests {
                 let q = q.clone();
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(batch) = q.pop_batch(7) {
-                        got.extend(batch);
+                    while let Some(v) = q.pop() {
+                        got.push(v);
                     }
                     got
                 })

@@ -477,9 +477,12 @@ pub fn encode_stats(snap: &StatsSnapshot) -> Value {
         ("cache_hits", Value::Num(snap.cache_hits as f64)),
         ("cache_misses", Value::Num(snap.cache_misses as f64)),
         ("cache_hit_rate", Value::Num(snap.cache_hit_rate())),
-        ("coalesced", Value::Num(snap.coalesced as f64)),
         ("failed", Value::Num(snap.failed as f64)),
-        ("mean_batch_size", Value::Num(snap.mean_batch_size())),
+        // Workers run one request per queue pop and never coalesce
+        // duplicates; the two keys stay, fixed, for clients that read
+        // them.
+        ("coalesced", Value::Num(0.0)),
+        ("mean_batch_size", Value::Num(1.0)),
         ("qps", Value::Num(snap.qps)),
         ("p50_ms", Value::Num(snap.p50_ms)),
         ("p90_ms", Value::Num(snap.p90_ms)),

@@ -85,7 +85,6 @@ fn service_path_is_inversion_free_under_checker() {
         dataset.clone(),
         ServiceConfig {
             workers: 3,
-            batch_size: 8,
             cache_capacity: 32,
             slowlog_capacity: 16,
             ..ServiceConfig::default()

@@ -247,8 +247,6 @@ fn garbled_page_payload_is_detected_at_query_time() {
 
 #[test]
 fn paged_gat_serves_concurrent_queries() {
-    use atsq_core::batch::{run_batch, QueryKind};
-
     let dataset = generate(&CityConfig::tiny(31)).unwrap();
     let queries = generate_queries(
         &dataset,
@@ -272,13 +270,38 @@ fn paged_gat_serves_concurrent_queries() {
     )
     .unwrap();
 
-    let sequential = run_batch(&mem, &dataset, &queries, 7, QueryKind::Atsq, 1);
-    let concurrent = run_batch(&paged, &dataset, &queries, 7, QueryKind::Atsq, 4);
-    assert_eq!(sequential, concurrent);
-
-    let sequential_o = run_batch(&mem, &dataset, &queries, 7, QueryKind::Oatsq, 1);
-    let concurrent_o = run_batch(&paged, &dataset, &queries, 7, QueryKind::Oatsq, 4);
-    assert_eq!(sequential_o, concurrent_o);
+    // Four threads, each running every fourth query against the one
+    // paged engine, must match the in-memory engine run sequentially.
+    for ordered in [false, true] {
+        let run = |engine: &GatEngine, q| {
+            if ordered {
+                engine.oatsq(&dataset, q, 7)
+            } else {
+                engine.atsq(&dataset, q, 7)
+            }
+        };
+        let sequential: Vec<_> = queries.iter().map(|q| run(&mem, q)).collect();
+        let mut concurrent = vec![Vec::new(); queries.len()];
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (run, paged, queries) = (&run, &paged, &queries);
+                    scope.spawn(move || {
+                        (t..queries.len())
+                            .step_by(4)
+                            .map(|i| (i, run(paged, &queries[i])))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                for (i, results) in h.join().unwrap() {
+                    concurrent[i] = results;
+                }
+            }
+        });
+        assert_eq!(sequential, concurrent, "ordered={ordered}");
+    }
 
     // All page traffic from four threads is accounted for.
     let pool = paged.index().apl().pool_stats().unwrap();
