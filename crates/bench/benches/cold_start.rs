@@ -7,15 +7,16 @@
 //! (b) the snapshot save + validated load that `--index-cache` pays
 //! instead. Every loaded engine is verified to answer a sample of
 //! queries exactly like the built one before its timing counts.
-//! Prints a table and emits `BENCH_cold_start.json` (path overridable
-//! via `BENCH_OUT`).
+//! Every shard count writes one snapshot file. Prints a table and
+//! emits `BENCH_cold_start.json` (path overridable via `BENCH_OUT`),
+//! with the git revision, host parallelism, scale and dataset hash.
 //!
 //! Environment knobs: `COLD_START_SCALE` (dataset scale, default
 //! 0.006 — the Fig. 7 full-size city), `COLD_START_SHARDS`
 //! (comma-separated, default `1,4`), `COLD_START_QUERIES` (default 8).
 
 use atsq_bench::{workload, Setting};
-use atsq_core::{GatConfig, GatEngine, IndexCache, Partition, QueryEngine, ShardedEngine};
+use atsq_core::{GatConfig, GatEngine, IndexCache, Partition, QueryEngine};
 use atsq_datagen::{generate, CityConfig};
 use atsq_types::{Dataset, Query};
 use std::time::Instant;
@@ -59,11 +60,7 @@ fn main() {
 
     let mut sweeps = Vec::new();
     for &shards in &shard_counts {
-        let sweep = if shards <= 1 {
-            single(&cache, &dataset, &queries, setting.k)
-        } else {
-            sharded(&cache, &dataset, shards, &queries, setting.k)
-        };
+        let sweep = sweep(&cache, &dataset, shards, &queries, setting.k);
         println!(
             "{:>8}{:>12.1}{:>12.1}{:>12.1}{:>12.1}{:>9.1}x",
             sweep.shards,
@@ -102,9 +99,16 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn single(cache: &IndexCache, dataset: &Dataset, queries: &[Query], k: usize) -> Sweep {
+fn sweep(
+    cache: &IndexCache,
+    dataset: &Dataset,
+    shards: usize,
+    queries: &[Query],
+    k: usize,
+) -> Sweep {
+    let partition = Partition::Hash;
     let t0 = Instant::now();
-    let built = GatEngine::build(dataset).expect("build");
+    let built = GatEngine::build_sharded(dataset, shards, partition).expect("build");
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();
@@ -114,7 +118,7 @@ fn single(cache: &IndexCache, dataset: &Dataset, queries: &[Query], k: usize) ->
 
     let t0 = Instant::now();
     let loaded = cache
-        .load_index(dataset, &GatConfig::default())
+        .load_index(dataset, &GatConfig::default(), shards, partition)
         .expect("load");
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
     let loaded = GatEngine::from_index(loaded);
@@ -123,59 +127,12 @@ fn single(cache: &IndexCache, dataset: &Dataset, queries: &[Query], k: usize) ->
         assert_eq!(
             built.atsq(dataset, q, k),
             loaded.atsq(dataset, q, k),
-            "loaded single index diverged"
+            "loaded index diverged at S={shards}"
         );
         assert_eq!(
             built.oatsq(dataset, q, k),
             loaded.oatsq(dataset, q, k),
-            "loaded single index diverged (ordered)"
-        );
-    }
-    Sweep {
-        shards: 1,
-        build_ms,
-        save_ms,
-        load_ms,
-        snapshot_bytes,
-    }
-}
-
-fn sharded(
-    cache: &IndexCache,
-    dataset: &Dataset,
-    shards: usize,
-    queries: &[Query],
-    k: usize,
-) -> Sweep {
-    let partition = Partition::Hash;
-    let t0 = Instant::now();
-    let built = ShardedEngine::build(dataset, shards, partition).expect("build sharded");
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let t0 = Instant::now();
-    let paths = cache.save_sharded(dataset, &built).expect("save sharded");
-    let save_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let snapshot_bytes = paths
-        .iter()
-        .map(|p| p.metadata().expect("snapshot metadata").len())
-        .sum();
-
-    let t0 = Instant::now();
-    let loaded = cache
-        .load_sharded(dataset, shards, partition, &GatConfig::default())
-        .expect("load sharded");
-    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    for q in queries {
-        assert_eq!(
-            built.atsq(q, k),
-            loaded.atsq(q, k),
-            "loaded sharded engine diverged at S={shards}"
-        );
-        assert_eq!(
-            built.oatsq(q, k),
-            loaded.oatsq(q, k),
-            "loaded sharded engine diverged at S={shards} (ordered)"
+            "loaded index diverged at S={shards} (ordered)"
         );
     }
     Sweep {
@@ -214,13 +171,12 @@ fn to_json(city: &str, scale: f64, dataset: &Dataset, sweeps: &[Sweep]) -> Strin
         .collect();
     format!(
         concat!(
-            r#"{{"bench":"cold_start","city":"{}","scale":{},"trajectories":{},"#,
-            r#""dataset_hash":"{:016x}","sweeps":[{}]}}"#
+            r#"{{"bench":"cold_start",{},"city":"{}","trajectories":{},"#,
+            r#""sweeps":[{}]}}"#
         ),
+        atsq_bench::provenance_json(scale, dataset),
         city,
-        scale,
         dataset.len(),
-        dataset.content_hash(),
         rows.join(",")
     )
 }

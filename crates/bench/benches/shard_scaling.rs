@@ -2,18 +2,19 @@
 //!
 //! A self-driving harness (`harness = false`, no criterion): builds
 //! the fig7-scale NY-like city, then measures ATSQ / OATSQ top-k
-//! latency through [`ShardedEngine`] at a sweep of shard counts for
-//! both partitioners, verifying along the way that every sharded
-//! configuration answers exactly like the single index. Prints a
-//! table and emits `BENCH_shard_scaling.json` (path overridable via
-//! `BENCH_OUT`) for the benchmark trajectory.
+//! latency through a [`GatEngine`] whose verification half is split
+//! into S parts, at a sweep of shard counts for both partitioners,
+//! verifying along the way that every sharded configuration answers
+//! exactly like the single index. Prints a table and emits
+//! `BENCH_shard_scaling.json` (path overridable via `BENCH_OUT`), with
+//! the git revision, host parallelism, scale and dataset hash.
 //!
 //! Reported per configuration:
 //!
 //! * `*_ms` — measured wall-clock on this host. Sharded *total* work
-//!   is ~1× the single index (one router traversal, each candidate
-//!   verified on its owner shard), so wall-clock does not multiply
-//!   with S even on few cores.
+//!   is ~1× the single index (one traversal, each candidate verified
+//!   on its owner part), so wall-clock does not multiply with S even
+//!   on few cores.
 //! * `*_wall_ratio` — wall-clock relative to S=1 under the same
 //!   partitioner. The run **asserts** this stays well under S for
 //!   every S>1 sweep point.
@@ -21,8 +22,7 @@
 //!   time plus the busiest shard's verification time, the latency
 //!   verifying shards in parallel could at best reach. A query runs
 //!   on one thread, so its wall-clock is the router time plus the
-//!   *sum* over shards. The JSON records `parallelism` so a curve can
-//!   always be interpreted.
+//!   *sum* over shards. Zero at S=1, whose queries read no clock.
 //! * `candidates_per_shard` — candidates each shard verified during
 //!   the timed ATSQ pass. These **sum** to the single traversal's
 //!   candidate count (ownership attribution) rather than duplicating
@@ -34,7 +34,7 @@
 //! `1,2,4,8`).
 
 use atsq_bench::{workload, Setting};
-use atsq_core::{GatEngine, Partition, QueryEngine, ShardedEngine};
+use atsq_core::{GatEngine, Partition, QueryEngine};
 use atsq_datagen::{generate, CityConfig};
 use atsq_types::Query;
 use std::time::Instant;
@@ -94,18 +94,20 @@ fn main() {
         let mut base_atsq_ms = f64::NAN;
         let mut base_oatsq_ms = f64::NAN;
         for &shards in &shard_counts {
-            let engine = ShardedEngine::build(&dataset, shards, partition).expect("sharded engine");
+            let engine =
+                GatEngine::build_sharded(&dataset, shards, partition).expect("sharded engine");
             verify(&engine, &single, &dataset, &queries, setting.k);
             let atsq = time_ms(&engine, &queries, |q| {
-                std::hint::black_box(engine.atsq(q, setting.k));
+                std::hint::black_box(engine.atsq(&dataset, q, setting.k));
             });
             let candidates_per_shard: Vec<u64> = engine
+                .index()
                 .per_shard_stats()
                 .iter()
                 .map(|s| s.candidates_retrieved)
                 .collect();
             let oatsq = time_ms(&engine, &queries, |q| {
-                std::hint::black_box(engine.oatsq(q, setting.k));
+                std::hint::black_box(engine.oatsq(&dataset, q, setting.k));
             });
             if shards == 1 {
                 base_atsq_ms = atsq.wall_ms;
@@ -125,7 +127,7 @@ fn main() {
                 oatsq.critical_ms,
                 atsq.router_ms + oatsq.router_ms
             );
-            // One router traversal per query: total sharded work is ~1×
+            // One traversal per query: total sharded work is ~1×
             // a single index plus routing, so wall-clock must not drift
             // toward ~S× even on a saturated host. (The bound is
             // deliberately loose — CI boxes are noisy.)
@@ -156,7 +158,7 @@ fn main() {
     }
 
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_shard_scaling.json".into());
-    let json = to_json(&config.name, &dataset, &queries, parallelism, &sweeps);
+    let json = to_json(&config.name, scale, &dataset, &queries, &sweeps);
     std::fs::write(&out, json).expect("write json");
     println!("wrote {out}");
 }
@@ -183,19 +185,20 @@ struct Timing {
 /// (typical for this sweep's balanced partitions). When the busiest
 /// shard varies per query, max-of-totals understates avg-of-maxes, so
 /// read the column as an optimistic (lower) bound on ≥S-core latency.
-fn time_ms(engine: &ShardedEngine, queries: &[Query], mut run: impl FnMut(&Query)) -> Timing {
+fn time_ms(engine: &GatEngine, queries: &[Query], mut run: impl FnMut(&Query)) -> Timing {
     for q in queries {
         run(q);
     }
-    engine.reset_stats();
+    let index = engine.index();
+    index.reset_stats();
     let t0 = Instant::now();
     for q in queries {
         run(q);
     }
     let n = queries.len().max(1) as f64;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3 / n;
-    let router_ms = engine.router_busy_ns() as f64 / 1e6 / n;
-    let busiest_ms = engine.per_shard_busy_ns().into_iter().max().unwrap_or(0) as f64 / 1e6 / n;
+    let router_ms = index.router_busy_ns() as f64 / 1e6 / n;
+    let busiest_ms = index.per_shard_busy_ns().into_iter().max().unwrap_or(0) as f64 / 1e6 / n;
     Timing {
         wall_ms,
         critical_ms: router_ms + busiest_ms,
@@ -206,33 +209,32 @@ fn time_ms(engine: &ShardedEngine, queries: &[Query], mut run: impl FnMut(&Query
 /// Exactness gate: a bench point for a configuration that answers
 /// differently from the single index would be meaningless.
 fn verify(
-    engine: &ShardedEngine,
+    engine: &GatEngine,
     single: &GatEngine,
     dataset: &atsq_types::Dataset,
     queries: &[Query],
     k: usize,
 ) {
+    let shards = engine.index().shard_count();
     for q in queries.iter().take(4) {
         assert_eq!(
-            engine.atsq(q, k),
+            engine.atsq(dataset, q, k),
             single.atsq(dataset, q, k),
-            "sharded ATSQ diverged at S={}",
-            engine.shard_count()
+            "sharded ATSQ diverged at S={shards}"
         );
         assert_eq!(
-            engine.oatsq(q, k),
+            engine.oatsq(dataset, q, k),
             single.oatsq(dataset, q, k),
-            "sharded OATSQ diverged at S={}",
-            engine.shard_count()
+            "sharded OATSQ diverged at S={shards}"
         );
     }
 }
 
 fn to_json(
     city: &str,
+    scale: f64,
     dataset: &atsq_types::Dataset,
     queries: &[Query],
-    parallelism: usize,
     sweeps: &[Sweep],
 ) -> String {
     let rows: Vec<String> = sweeps
@@ -263,13 +265,13 @@ fn to_json(
         .collect();
     format!(
         concat!(
-            r#"{{"bench":"shard_scaling","city":"{}","trajectories":{},"#,
-            r#""queries":{},"parallelism":{},"sweeps":[{}]}}"#
+            r#"{{"bench":"shard_scaling",{},"city":"{}","trajectories":{},"#,
+            r#""queries":{},"sweeps":[{}]}}"#
         ),
+        atsq_bench::provenance_json(scale, dataset),
         city,
         dataset.len(),
         queries.len(),
-        parallelism,
         rows.join(",")
     )
 }

@@ -280,8 +280,7 @@ fn engine_fetches(e: &Engine) -> u64 {
         // are read in spatially clustered (Z-order-contiguous) pages,
         // not per cell, so they are reported separately rather than
         // charged one seek each.
-        Engine::Gat(g) => g.index().stats().snapshot().apl_reads,
-        Engine::Sharded(s) => s.per_shard_stats().iter().map(|io| io.apl_reads).sum(),
+        Engine::Gat(g) => g.index().stats().apl_reads,
     }
 }
 
@@ -290,8 +289,7 @@ fn reset_fetches(e: &Engine) {
         Engine::Il(il) => il.reset_fetches(),
         Engine::Rt(rt) => rt.reset_fetches(),
         Engine::Irt(irt) => irt.reset_fetches(),
-        Engine::Gat(g) => g.index().stats().reset(),
-        Engine::Sharded(s) => s.reset_stats(),
+        Engine::Gat(g) => g.index().reset_stats(),
     }
 }
 
@@ -393,8 +391,7 @@ fn paged_io(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3 / w.len().max(1) as f64;
             let pool = engine
                 .index()
-                .apl()
-                .pool_stats()
+                .apl_pool_stats()
                 .expect("paged backend has pool stats");
             let hicl_misses = engine
                 .index()
@@ -521,7 +518,7 @@ fn ablation(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
             let t_atsq = time_engine(&gat, dataset, &w, s.k, false);
             let t_oatsq = time_engine(&gat, dataset, &w, s.k, true);
             let snap = match &gat {
-                Engine::Gat(e) => e.index().stats().snapshot(),
+                Engine::Gat(e) => e.index().stats(),
                 _ => unreachable!(),
             };
             println!(

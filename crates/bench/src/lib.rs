@@ -14,6 +14,26 @@ use atsq_datagen::{generate, generate_queries, CityConfig, QueryGenConfig};
 use atsq_types::{Dataset, Query};
 use std::time::{Duration, Instant};
 
+/// The provenance fields every committed `BENCH_*.json` records, as
+/// the body of a JSON object (no braces): the git revision the bench
+/// ran on (`git describe --always --dirty`, `"unknown"` outside a
+/// checkout), the host's available parallelism, the dataset scale and
+/// the dataset's content hash.
+pub fn provenance_json(scale: f64, dataset: &Dataset) -> String {
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(
+        r#""git_rev":"{rev}","parallelism":{parallelism},"scale":{scale},"dataset_hash":"{:016x}""#,
+        dataset.content_hash()
+    )
+}
+
 /// Table V defaults.
 pub const DEFAULT_K: usize = 9;
 /// Table V: number of query points.

@@ -3,8 +3,8 @@
 use crate::args::parse;
 use crate::CliError;
 use atsq_core::{
-    matching, snapshot, CacheOutcome, Engine, GatEngine, IndexCache, Partition, QueryEngine,
-    ShardedEngine,
+    matching, snapshot, CacheOutcome, Engine, GatConfig, GatEngine, GatIndex, IndexCache,
+    Partition, QueryEngine,
 };
 use atsq_datagen::CityConfig;
 use atsq_service::{LoadgenConfig, Server, Service, ServiceConfig};
@@ -171,10 +171,9 @@ fn parse_sharding(f: &crate::args::Flags) -> Result<(usize, Partition), CliError
 
 fn build_engine(dataset: &Dataset, name: &str) -> Result<Engine, CliError> {
     Ok(match name {
-        "gat" => Engine::Gat(GatEngine::build(dataset)?),
         "gat-paged" => Engine::Gat(GatEngine::build_paged(
             dataset,
-            atsq_core::GatConfig::default(),
+            GatConfig::default(),
             &atsq_core::PagedAplConfig::default(),
         )?),
         "il" => Engine::Il(atsq_core::IlEngine::build(dataset)),
@@ -221,16 +220,16 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "--index-cache only applies to the default gat engine".into(),
         ));
     }
-    let engine = if shards > 1 && engine_name != "gat" {
-        return Err(CliError::Usage(
-            "--shards only applies to the default gat engine".into(),
-        ));
-    } else if shards > 1 || cache.is_some() {
+    let engine = if engine_name == "gat" {
         let (engine, outcome) = Engine::build_gat(&dataset, shards, partition, cache.as_ref())?;
         if let Some(outcome) = outcome {
             writeln!(out, "{}", describe_outcome(&outcome))?;
         }
         engine
+    } else if shards != 1 {
+        return Err(CliError::Usage(
+            "--shards only applies to the default gat engine".into(),
+        ));
     } else {
         build_engine(&dataset, engine_name)?
     };
@@ -313,21 +312,14 @@ fn index_build(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (shards, partition) = parse_sharding(&f)?;
     let hash = dataset.content_hash();
     let t0 = Instant::now();
-    let paths = if shards > 1 {
-        let engine = ShardedEngine::build(&dataset, shards, partition)?;
-        cache.save_sharded(&dataset, &engine)?
-    } else {
-        let index = atsq_core::GatIndex::build(&dataset)?;
-        vec![cache.save_index(&dataset, &index)?]
-    };
+    let index = GatIndex::build_sharded(&dataset, GatConfig::default(), shards, partition)?;
+    let path = cache.save_index(&dataset, &index)?;
     let built_ms = t0.elapsed().as_secs_f64() * 1e3;
     writeln!(
         out,
         "built and snapshotted the index for dataset {hash:016x} in {built_ms:.0} ms"
     )?;
-    for p in &paths {
-        writeln!(out, "  wrote {}", p.display())?;
-    }
+    writeln!(out, "  wrote {}", path.display())?;
     writeln!(
         out,
         "serve it with: atsq serve --data <snapshot> --index-cache {}",
@@ -362,8 +354,8 @@ fn index_inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// Renders a cache outcome for the operator: did this start load a
-/// snapshot, or (partially) build? The `Rebuilt` string is already a
-/// complete account of what happened — rendered verbatim.
+/// snapshot, or build? The `Rebuilt` string is already a complete
+/// account of what happened — rendered verbatim.
 fn describe_outcome(outcome: &CacheOutcome) -> &str {
     match outcome {
         CacheOutcome::Loaded => "loaded index snapshot",
@@ -1007,11 +999,7 @@ u2,34.10,-118.30,20,hiking with a view
                 "--partition",
                 partition,
             ]);
-            assert_eq!(
-                single.replace("[GAT]", "[GAT-SHARDED]"),
-                sharded,
-                "{partition}"
-            );
+            assert_eq!(single, sharded, "{partition}");
         }
         // Sharding a baseline engine or 0 shards is a usage error.
         let mut out = Vec::new();
@@ -1073,9 +1061,8 @@ u2,34.10,-118.30,20,hiking with a view
         ]);
         assert!(msg.contains("snapshotted"), "{msg}");
         let listing = run_ok(&["index", "inspect", "--cache", cache]);
-        assert!(listing.contains("kind index"), "{listing}");
-        assert!(listing.contains("kind manifest"), "{listing}");
-        assert_eq!(listing.lines().count(), 4, "index + manifest + 2 shards");
+        assert!(listing.contains("kind index  v2"), "{listing}");
+        assert_eq!(listing.lines().count(), 2, "one file per shard count");
 
         // Cached queries load the snapshot and answer identically.
         let cached = run_ok(&[
@@ -1105,20 +1092,14 @@ u2,34.10,-118.30,20,hiking with a view
             cache,
         ]);
         assert!(sharded.contains("loaded index snapshot"), "{sharded}");
-        assert_eq!(
-            sharded.replace("loaded index snapshot\n", ""),
-            plain.replace("[GAT]", "[GAT-SHARDED]")
-        );
+        assert_eq!(sharded.replace("loaded index snapshot\n", ""), plain);
 
         // Corrupt the single-index snapshot: the query falls back to a
         // fresh build, same answers, and repairs the snapshot.
         let idx_file = std::fs::read_dir(cache)
             .unwrap()
             .map(|e| e.unwrap().path())
-            .find(|p| {
-                p.extension().is_some_and(|e| e == "idx")
-                    && !p.file_name().unwrap().to_str().unwrap().contains("shard")
-            })
+            .find(|p| p.file_name().unwrap().to_str().unwrap().contains("-s1-"))
             .unwrap();
         let mut bytes = std::fs::read(&idx_file).unwrap();
         let mid = bytes.len() / 2;

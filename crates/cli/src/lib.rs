@@ -84,10 +84,11 @@ Datasets are `atsq v1` text snapshots (see atsq-io). Activities in
 --stop are names from the dataset vocabulary. With --tips the CSV's
 fifth column is free text and activities are mined from it.
 
---shards S > 1 partitions the dataset into S GAT shards (hash or
-spatial partitioner): one router traversal per query feeds each
-candidate to the shard that owns it; results are identical to a
-single index.
+--shards S (default 1) splits the GAT index's verification half (TAS
+and APL) into S parts cut by the hash or spatial partitioner. One
+traversal of the shared grid, HICL and ITL per query feeds each
+candidate to the part that owns it; results are identical for every
+S, and S = 0 is a usage error.
 
 --index-cache DIR reads/writes persistent index snapshots keyed by the
 dataset's content hash: `atsq index build` pre-builds them, and `atsq

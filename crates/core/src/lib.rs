@@ -54,7 +54,7 @@ pub mod profile;
 pub use atsq_baselines::{IlEngine, IrtEngine, RtEngine};
 pub use atsq_gat::{
     snapshot, CacheOutcome, GatConfig, GatIndex, IndexCache, PagedAplConfig, PagedBacking,
-    Partition, ShardedEngine,
+    Partition,
 };
 pub use atsq_matching as matching;
 pub use atsq_types as types;
@@ -66,7 +66,7 @@ use atsq_types::{Dataset, Query, QueryResult, Result};
 pub mod prelude {
     pub use crate::{Engine, GatEngine, QueryEngine};
     pub use atsq_baselines::{IlEngine, IrtEngine, RtEngine};
-    pub use atsq_gat::{GatConfig, Partition, ShardedEngine};
+    pub use atsq_gat::{GatConfig, Partition};
     pub use atsq_types::{
         ActivityId, ActivitySet, Dataset, DatasetBuilder, Point, Query, QueryPoint, QueryResult,
         Rect, Trajectory, TrajectoryId, TrajectoryPoint,
@@ -88,7 +88,8 @@ pub trait QueryEngine {
     fn name(&self) -> &'static str;
 }
 
-/// The paper's proposed engine: a [`GatIndex`] behind [`QueryEngine`].
+/// The paper's proposed engine: a [`GatIndex`] behind [`QueryEngine`],
+/// at any shard count.
 #[derive(Debug)]
 pub struct GatEngine {
     index: GatIndex,
@@ -99,6 +100,14 @@ impl GatEngine {
     pub fn build(dataset: &Dataset) -> Result<Self> {
         Ok(GatEngine {
             index: GatIndex::build(dataset)?,
+        })
+    }
+
+    /// Builds with the default configuration and the verification half
+    /// split into `shards` parts (see [`GatIndex::build_sharded`]).
+    pub fn build_sharded(dataset: &Dataset, shards: usize, partition: Partition) -> Result<Self> {
+        Ok(GatEngine {
+            index: GatIndex::build_sharded(dataset, GatConfig::default(), shards, partition)?,
         })
     }
 
@@ -206,31 +215,6 @@ impl QueryEngine for IrtEngine {
     }
 }
 
-/// The sharded GAT engine behind the common interface. The trait
-/// passes the *global* dataset; the engine answers from its own shard
-/// copies, so only the length is cross-checked.
-impl QueryEngine for ShardedEngine {
-    fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        debug_assert_eq!(dataset.len(), self.len(), "dataset/engine mismatch");
-        ShardedEngine::atsq(self, query, k)
-    }
-    fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        debug_assert_eq!(dataset.len(), self.len(), "dataset/engine mismatch");
-        ShardedEngine::oatsq(self, query, k)
-    }
-    fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        debug_assert_eq!(dataset.len(), self.len(), "dataset/engine mismatch");
-        ShardedEngine::atsq_range(self, query, tau)
-    }
-    fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        debug_assert_eq!(dataset.len(), self.len(), "dataset/engine mismatch");
-        ShardedEngine::oatsq_range(self, query, tau)
-    }
-    fn name(&self) -> &'static str {
-        "GAT-SHARDED"
-    }
-}
-
 /// Owned enum over the engines, convenient for benchmark sweeps and
 /// for serving one concrete type.
 #[derive(Debug)]
@@ -244,21 +228,18 @@ pub enum Engine {
     Rt(RtEngine),
     /// IR-tree baseline.
     Irt(IrtEngine),
-    /// Sharded GAT (one router traversal, candidates verified on
-    /// their owner shard). Not part of [`Engine::build_all`]'s paper
-    /// line-up.
-    Sharded(ShardedEngine),
 }
 
 impl Engine {
-    /// Builds the serving engine — a single [`GatEngine`], or a
-    /// [`ShardedEngine`] when `shards > 1` — optionally through a
+    /// Builds the serving engine — a [`GatEngine`] whose verification
+    /// half is split into `shards` parts — optionally through a
     /// persistent [`IndexCache`]. With a cache, a valid snapshot keyed
     /// by the dataset's content hash is *loaded* (answers are
     /// byte-identical to a fresh build); a missing, stale or corrupt
     /// snapshot triggers a fresh build whose snapshot is saved for the
     /// next start. Returns the engine plus the cache outcome (`None`
-    /// when no cache was used).
+    /// when no cache was used). `shards == 0` is
+    /// [`atsq_types::Error::InvalidConfig`].
     pub fn build_gat(
         dataset: &Dataset,
         shards: usize,
@@ -266,33 +247,26 @@ impl Engine {
         cache: Option<&IndexCache>,
     ) -> Result<(Engine, Option<CacheOutcome>)> {
         let config = GatConfig::default();
-        match (cache, shards > 1) {
-            (None, false) => Ok((Engine::Gat(GatEngine::build(dataset)?), None)),
-            (None, true) => Ok((
-                Engine::Sharded(ShardedEngine::build(dataset, shards, partition)?),
+        let (index, outcome) = match cache {
+            None => (
+                GatIndex::build_sharded(dataset, config, shards, partition)?,
                 None,
-            )),
-            (Some(cache), false) => {
-                let (index, outcome) = cache.load_or_build(dataset, config)?;
-                Ok((Engine::Gat(GatEngine::from_index(index)), Some(outcome)))
+            ),
+            Some(cache) => {
+                let (index, outcome) = cache.load_or_build(dataset, config, shards, partition)?;
+                (index, Some(outcome))
             }
-            (Some(cache), true) => {
-                let (engine, outcome) =
-                    cache.load_or_build_sharded(dataset, shards, partition, config)?;
-                Ok((Engine::Sharded(engine), Some(outcome)))
-            }
-        }
+        };
+        Ok((Engine::Gat(GatEngine::from_index(index)), outcome))
     }
 
     /// Estimated resident bytes of the engine itself (the serving
-    /// dataset is accounted separately): every index component for
-    /// GAT, and per-shard dataset copies plus indexes for the sharded
-    /// engine. The baselines are not served multi-tenant and report
-    /// zero. Feeds the tenancy layer's memory-budget accountant.
+    /// dataset is accounted separately): every GAT index component.
+    /// The baselines are not served multi-tenant and report zero.
+    /// Feeds the tenancy layer's memory-budget accountant.
     pub fn approx_resident_bytes(&self) -> usize {
         match self {
             Engine::Gat(e) => e.index().memory_report().total_bytes(),
-            Engine::Sharded(e) => e.approx_resident_bytes(),
             Engine::Il(_) | Engine::Rt(_) | Engine::Irt(_) => 0,
         }
     }
@@ -316,7 +290,6 @@ impl QueryEngine for Engine {
             Engine::Il(e) => QueryEngine::atsq(e, dataset, query, k),
             Engine::Rt(e) => QueryEngine::atsq(e, dataset, query, k),
             Engine::Irt(e) => QueryEngine::atsq(e, dataset, query, k),
-            Engine::Sharded(e) => QueryEngine::atsq(e, dataset, query, k),
         }
     }
     fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
@@ -325,7 +298,6 @@ impl QueryEngine for Engine {
             Engine::Il(e) => QueryEngine::oatsq(e, dataset, query, k),
             Engine::Rt(e) => QueryEngine::oatsq(e, dataset, query, k),
             Engine::Irt(e) => QueryEngine::oatsq(e, dataset, query, k),
-            Engine::Sharded(e) => QueryEngine::oatsq(e, dataset, query, k),
         }
     }
     fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
@@ -334,7 +306,6 @@ impl QueryEngine for Engine {
             Engine::Il(e) => QueryEngine::atsq_range(e, dataset, query, tau),
             Engine::Rt(e) => QueryEngine::atsq_range(e, dataset, query, tau),
             Engine::Irt(e) => QueryEngine::atsq_range(e, dataset, query, tau),
-            Engine::Sharded(e) => QueryEngine::atsq_range(e, dataset, query, tau),
         }
     }
     fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
@@ -343,7 +314,6 @@ impl QueryEngine for Engine {
             Engine::Il(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
             Engine::Rt(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
             Engine::Irt(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
-            Engine::Sharded(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
         }
     }
     fn name(&self) -> &'static str {
@@ -352,7 +322,6 @@ impl QueryEngine for Engine {
             Engine::Il(e) => e.name(),
             Engine::Rt(e) => e.name(),
             Engine::Irt(e) => e.name(),
-            Engine::Sharded(e) => e.name(),
         }
     }
 }
@@ -420,6 +389,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Zero shards is a typed configuration error, with or without an
+    /// index cache — never a silently unsharded engine.
+    #[test]
+    fn build_gat_rejects_zero_shards() {
+        let dataset = generate(&CityConfig::tiny(3)).unwrap();
+        let dir = std::env::temp_dir().join(format!("atsq-core-zero-{}", std::process::id()));
+        let cache = IndexCache::new(&dir);
+        for cache in [None, Some(&cache)] {
+            let err = Engine::build_gat(&dataset, 0, Partition::Hash, cache).unwrap_err();
+            assert!(matches!(err, atsq_types::Error::InvalidConfig(_)), "{err}");
+        }
+        assert!(cache.entries().unwrap().is_empty(), "nothing is cached");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Runs `queries` on `threads` scoped threads (query `i` on thread
     /// `i % threads`), each query inside its own counter scope, and
     /// returns the answers in input order with each query's sink.
@@ -480,27 +464,28 @@ mod tests {
         assert_sinks_sum_to_engine(&GatEngine::build(&dataset).unwrap(), 9);
     }
 
-    /// Each sharded query's delta (router traversal plus owner-shard
+    /// Each sharded query's delta (traversal plus owner-part
     /// verification) lands in its own sink; the deltas sum to the
-    /// engine totals, which include the router's counters.
+    /// engine totals, which include the traversal's counters.
     #[test]
     fn sharded_per_query_sinks_attribute_exactly() {
         let dataset = generate(&CityConfig::tiny(9)).unwrap();
-        let engine = ShardedEngine::build(&dataset, 4, Partition::Hash).unwrap();
+        let engine = GatEngine::build_sharded(&dataset, 4, Partition::Hash).unwrap();
         assert_sinks_sum_to_engine(&engine, 9);
     }
 
     /// A sharded query inside a counter scope books busy time for
-    /// every shard that verified one of its candidates, and the
+    /// every part that verified one of its candidates, and the
     /// router's busy time grows.
     #[test]
     fn sharded_query_fills_shard_busy_time() {
         let dataset = generate(&CityConfig::tiny(9)).unwrap();
-        let engine = ShardedEngine::build(&dataset, 4, Partition::Hash).unwrap();
+        let engine = GatEngine::build_sharded(&dataset, 4, Partition::Hash).unwrap();
+        let index = engine.index();
         let queries = generate_queries(&dataset, &QueryGenConfig::default(), 6);
         for q in &queries {
-            let before = engine.per_shard_stats();
-            let router_before = engine.router_busy_ns();
+            let before = index.per_shard_stats();
+            let router_before = index.router_busy_ns();
             let sink = atsq_obs::CounterSink::new();
             {
                 let _scope = atsq_obs::CounterScope::enter(sink.clone());
@@ -508,14 +493,14 @@ mod tests {
             }
             let busy = sink.shard_busy_ns();
             let mut verified = 0;
-            for (s, (after, before)) in engine.per_shard_stats().iter().zip(&before).enumerate() {
+            for (s, (after, before)) in index.per_shard_stats().iter().zip(&before).enumerate() {
                 if after.candidates_retrieved > before.candidates_retrieved {
                     verified += 1;
                     assert!(busy.get(s).is_some_and(|&ns| ns > 0), "shard {s}: {busy:?}");
                 }
             }
             assert!(verified > 0, "the query verified no candidate");
-            assert!(engine.router_busy_ns() > router_before);
+            assert!(index.router_busy_ns() > router_before);
         }
     }
 
@@ -547,7 +532,7 @@ mod tests {
     fn sharded_engine_matches_single_index_under_concurrent_callers() {
         let dataset = generate(&CityConfig::tiny(8)).unwrap();
         let single = GatEngine::build(&dataset).unwrap();
-        let sharded = ShardedEngine::build(&dataset, 3, Partition::Spatial).unwrap();
+        let sharded = GatEngine::build_sharded(&dataset, 3, Partition::Spatial).unwrap();
         let queries = generate_queries(&dataset, &QueryGenConfig::default(), 8);
         for ordered in [false, true] {
             let op = |e: &dyn QueryEngine, d: &Dataset, q: &Query| {

@@ -7,7 +7,7 @@
 //! those counters behind one [`EngineCounters`] snapshot so experiments
 //! can report pruning power next to latency.
 
-use crate::{Engine, GatEngine, ShardedEngine};
+use crate::{Engine, GatEngine};
 use atsq_baselines::{IlEngine, IrtEngine, RtEngine};
 
 /// Work performed by an engine since the last reset.
@@ -68,13 +68,15 @@ pub trait Profiled {
     fn reset_counters(&self);
 }
 
+/// Totals over the traversal and every verification part: candidates
+/// are charged to the part that verifies them, cold HICL reads to the
+/// traversal.
 impl Profiled for GatEngine {
     fn counters(&self) -> EngineCounters {
-        counters_from_io(self.index().stats().snapshot())
+        counters_from_io(self.index().stats())
     }
     fn reset_counters(&self) {
-        self.index().stats().reset();
-        self.index().apl().reset_pool_stats();
+        self.index().reset_stats();
     }
 }
 
@@ -104,24 +106,6 @@ impl EngineCounters {
                 apl_reads: a.apl_reads + b.apl_reads,
                 cold_reads: a.cold_reads + b.cold_reads,
             })
-    }
-}
-
-impl Profiled for ShardedEngine {
-    fn counters(&self) -> EngineCounters {
-        // Shard counters plus the router's: candidates are charged to
-        // the owner shard that verifies them, but cold HICL reads
-        // during the router traversal land on the router and must not
-        // vanish from engine totals.
-        EngineCounters::sum(
-            self.per_shard_stats()
-                .into_iter()
-                .chain(std::iter::once(self.router_stats()))
-                .map(counters_from_io),
-        )
-    }
-    fn reset_counters(&self) {
-        self.reset_stats();
     }
 }
 
@@ -156,7 +140,6 @@ impl Profiled for Engine {
             Engine::Il(e) => e.counters(),
             Engine::Rt(e) => e.counters(),
             Engine::Irt(e) => e.counters(),
-            Engine::Sharded(e) => e.counters(),
         }
     }
     fn reset_counters(&self) {
@@ -165,55 +148,56 @@ impl Profiled for Engine {
             Engine::Il(e) => e.reset_counters(),
             Engine::Rt(e) => e.reset_counters(),
             Engine::Irt(e) => e.reset_counters(),
-            Engine::Sharded(e) => e.reset_counters(),
         }
     }
 }
 
 impl Engine {
-    /// Work counters broken out per shard — one entry per shard for
-    /// the sharded engine, a single entry otherwise. Serving stats use
+    /// The GAT index when it has more than one verification part —
+    /// the engines whose per-shard and router figures are reported.
+    fn sharded_index(&self) -> Option<&atsq_gat::GatIndex> {
+        match self {
+            Engine::Gat(e) if e.index().shard_count() > 1 => Some(e.index()),
+            _ => None,
+        }
+    }
+
+    /// Work counters broken out per shard — one entry per part for a
+    /// sharded GAT index, a single entry otherwise. Serving stats use
     /// this to expose per-shard candidate counts.
     pub fn per_shard_counters(&self) -> Vec<EngineCounters> {
-        match self {
-            Engine::Sharded(e) => e
+        match self.sharded_index() {
+            Some(index) => index
                 .per_shard_stats()
                 .into_iter()
                 .map(counters_from_io)
                 .collect(),
-            other => vec![other.counters()],
+            None => vec![self.counters()],
         }
     }
 
     /// Accumulated engine busy time per shard in nanoseconds — one
-    /// entry per shard for the sharded engine, empty otherwise (an
-    /// unsharded engine has no internal parallelism to account).
+    /// entry per part for a sharded GAT index, empty otherwise (an
+    /// unsharded engine has no parts to account).
     pub fn per_shard_busy_ns(&self) -> Vec<u64> {
-        match self {
-            Engine::Sharded(e) => e.per_shard_busy_ns(),
-            _ => Vec::new(),
-        }
+        self.sharded_index()
+            .map_or_else(Vec::new, |index| index.per_shard_busy_ns())
     }
 
-    /// Counters of the sharded engine's router (cold HICL reads spent
-    /// generating candidates); `None` for unsharded engines. The router
-    /// never records candidates — each candidate is charged to the
-    /// owner shard that verifies it — so folding this
-    /// into an aggregate never perturbs per-shard candidate sums.
+    /// Counters of a sharded index's traversal (cold HICL reads spent
+    /// generating candidates); `None` for unsharded engines. The
+    /// traversal never records candidates — each candidate is charged
+    /// to the owner part that verifies it — so folding this into an
+    /// aggregate never perturbs per-shard candidate sums.
     pub fn router_counters(&self) -> Option<EngineCounters> {
-        match self {
-            Engine::Sharded(e) => Some(counters_from_io(e.router_stats())),
-            _ => None,
-        }
+        self.sharded_index()
+            .map(|index| counters_from_io(index.router_stats()))
     }
 
-    /// Accumulated router busy time of the sharded engine in
-    /// nanoseconds; `None` for unsharded engines.
+    /// Accumulated router busy time of a sharded index in nanoseconds;
+    /// `None` for unsharded engines.
     pub fn router_busy_ns(&self) -> Option<u64> {
-        match self {
-            Engine::Sharded(e) => Some(e.router_busy_ns()),
-            _ => None,
-        }
+        self.sharded_index().map(|index| index.router_busy_ns())
     }
 }
 

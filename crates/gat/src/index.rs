@@ -1,17 +1,28 @@
-//! Assembling the four GAT components from a dataset.
+//! Assembling the GAT index from a dataset: one traversal half (grid,
+//! HICL, ITL) over every trajectory and `S ≥ 1` verification parts
+//! (TAS, APL); see [`crate::sharded`].
 
-use crate::apl::{Apl, TrajectoryPostings};
+use crate::apl::TrajectoryPostings;
 use crate::config::GatConfig;
 use crate::hicl::Hicl;
 use crate::itl::Itl;
 use crate::paged::{storage_err, AplStorage, PagedApl, PagedAplConfig, PagedColdHicl};
-use crate::stats::IoStats;
-use crate::tas::Tas;
+use crate::sharded::{membership, owner_table, Part, Partition};
+use crate::stats::{IoSnapshot, IoStats};
+use crate::tas::{Sketch, Tas};
 use atsq_grid::{CellId, Grid};
-use atsq_types::{ActivitySet, Dataset, Rect, Result};
+use atsq_model::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use atsq_storage::PoolStats;
+use atsq_types::{ActivitySet, Dataset, Error, Rect, Result, TrajectoryId};
 use std::borrow::Cow;
 
 /// The complete GAT index over one dataset.
+///
+/// The traversal half — grid, HICL, ITL and the optional paged cold
+/// HICL levels — covers every trajectory once. Verification structures
+/// (TAS, APL) live in `S ≥ 1` parts (see [`crate::sharded`]); `S = 1`
+/// is the paper's single index. Accessors take global trajectory ids
+/// at every `S`.
 ///
 /// The index stores no copy of the trajectory data; query functions
 /// take the [`Dataset`] alongside the index (trajectory ids are stable
@@ -22,12 +33,20 @@ pub struct GatIndex {
     grid: Grid,
     hicl: Hicl,
     itl: Itl,
-    tas: Tas,
-    apl: AplStorage,
     /// Cold HICL levels on pages (paged builds only); the in-memory
     /// `hicl` keeps serving the hot levels and dynamic inserts.
     cold_hicl: Option<PagedColdHicl>,
+    /// Traversal counters (cold HICL reads). Verification counters
+    /// live on the parts.
     stats: IoStats,
+    partition: Partition,
+    parts: Vec<Part>,
+    /// Global id → `(part, local id)`; empty for a single part.
+    owner: Vec<(u32, u32)>,
+    /// Accumulated query time outside owner-part verification
+    /// (traversal, lower bound and routing), in nanoseconds; timed
+    /// only with more than one part.
+    router_busy_ns: AtomicU64,
 }
 
 impl GatIndex {
@@ -36,71 +55,23 @@ impl GatIndex {
         Self::build_with(dataset, GatConfig::default())
     }
 
-    /// Builds the index with an explicit configuration and the APL on
-    /// real pages behind a buffer pool (see [`crate::paged`]). Queries
-    /// return exactly what [`GatIndex::build_with`] returns; the
-    /// difference is measured page traffic instead of simulated
-    /// counters.
-    pub fn build_paged(
-        dataset: &Dataset,
-        config: GatConfig,
-        apl_config: &PagedAplConfig,
-    ) -> Result<Self> {
-        let mut index = Self::build_with(dataset, config)?;
-        let paged =
-            PagedApl::build(dataset.trajectories().iter(), apl_config).map_err(storage_err)?;
-        index.apl = AplStorage::Paged(paged);
-        // Page the cold HICL levels too (§IV keeps levels above h on
-        // secondary storage alongside the APL).
-        index.cold_hicl = PagedColdHicl::build(&index.hicl, config.memory_level, apl_config)
-            .map_err(storage_err)?;
-        Ok(index)
-    }
-
-    /// Replaces the APL storage wholesale. The storage must cover
-    /// exactly the indexed trajectories, in order — used by tests (e.g.
-    /// fault injection through a custom page store) and by callers that
-    /// prebuilt a [`PagedApl`] over their own [`atsq_storage::PageStore`].
-    ///
-    /// # Panics
-    /// Panics when `apl` covers a different number of trajectories than
-    /// the index.
-    pub fn with_apl_storage(mut self, apl: AplStorage) -> Self {
-        assert_eq!(
-            apl.len(),
-            self.tas.len(),
-            "replacement APL must cover the indexed trajectories"
-        );
-        self.apl = apl;
-        self
-    }
-
-    /// Reassembles an index from deserialized components (the snapshot
-    /// loader's constructor). The caller — [`crate::snapshot`] — has
-    /// already validated cross-component consistency; the result uses
-    /// the in-memory APL backend and fresh I/O counters.
-    pub(crate) fn from_parts(
-        config: GatConfig,
-        grid: Grid,
-        hicl: Hicl,
-        itl: Itl,
-        tas: Tas,
-        apl: crate::apl::Apl,
-    ) -> Self {
-        GatIndex {
-            config,
-            grid,
-            hicl,
-            itl,
-            tas,
-            apl: AplStorage::Memory(apl),
-            cold_hicl: None,
-            stats: IoStats::new(),
-        }
-    }
-
     /// Builds the index with an explicit configuration.
     pub fn build_with(dataset: &Dataset, config: GatConfig) -> Result<Self> {
+        Self::build_sharded(dataset, config, 1, Partition::Hash)
+    }
+
+    /// Builds the index with its verification half split into `shards`
+    /// parts by `partition`. Answers are identical for every shard
+    /// count; `shards == 0` is [`Error::InvalidConfig`].
+    pub fn build_sharded(
+        dataset: &Dataset,
+        config: GatConfig,
+        shards: usize,
+        partition: Partition,
+    ) -> Result<Self> {
+        if shards == 0 {
+            return Err(Error::InvalidConfig("shard count must be ≥ 1".into()));
+        }
         config.validate()?;
         let region = usable_region(dataset.bounds());
         let grid = Grid::new(region, config.grid_level);
@@ -118,25 +89,124 @@ impl GatIndex {
                 }
             }
         }
-
         let hicl = Hicl::build(d, hicl_occ);
         let itl = Itl::build(d, itl_occ);
-        let tas = Tas::build(
-            dataset.trajectories().iter().map(|tr| tr.all_activities()),
-            config.tas_intervals,
-        );
-        let apl = AplStorage::Memory(Apl::build(dataset.trajectories().iter()));
 
-        Ok(GatIndex {
+        let membership = membership(dataset, shards, partition);
+        let owner = owner_table(dataset.len(), &membership);
+        let parts = membership
+            .iter()
+            .map(|members| Part::build(dataset, members, config.tas_intervals))
+            .collect();
+        Ok(Self::new(config, partition, grid, hicl, itl, parts, owner))
+    }
+
+    fn new(
+        config: GatConfig,
+        partition: Partition,
+        grid: Grid,
+        hicl: Hicl,
+        itl: Itl,
+        parts: Vec<Part>,
+        owner: Vec<(u32, u32)>,
+    ) -> Self {
+        GatIndex {
             config,
             grid,
             hicl,
             itl,
-            tas,
-            apl,
             cold_hicl: None,
             stats: IoStats::new(),
-        })
+            partition,
+            parts,
+            owner,
+            // ordering: Relaxed everywhere this counter is touched —
+            // advisory busy-time tally, no memory published through it.
+            router_busy_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Builds the index with an explicit configuration and the APL on
+    /// real pages behind a buffer pool (see [`crate::paged`]). Queries
+    /// return exactly what [`GatIndex::build_with`] returns; the
+    /// difference is measured page traffic instead of simulated
+    /// counters. Paged indexes have one part.
+    pub fn build_paged(
+        dataset: &Dataset,
+        config: GatConfig,
+        apl_config: &PagedAplConfig,
+    ) -> Result<Self> {
+        let paged =
+            PagedApl::build(dataset.trajectories().iter(), apl_config).map_err(storage_err)?;
+        let mut index =
+            Self::build_with(dataset, config)?.with_apl_storage(AplStorage::Paged(paged))?;
+        // Page the cold HICL levels too (§IV keeps levels above h on
+        // secondary storage alongside the APL).
+        index.cold_hicl = PagedColdHicl::build(&index.hicl, config.memory_level, apl_config)
+            .map_err(storage_err)?;
+        Ok(index)
+    }
+
+    /// Replaces the APL storage of a single-part index wholesale. The
+    /// storage must cover exactly the indexed trajectories, in order —
+    /// used by tests (e.g. fault injection through a custom page store)
+    /// and by callers that prebuilt a [`PagedApl`] over their own
+    /// [`atsq_storage::PageStore`].
+    ///
+    /// Fails with [`Error::InvalidConfig`] on an index with more than
+    /// one part, or when `apl` covers a different number of
+    /// trajectories than the index.
+    pub fn with_apl_storage(mut self, apl: AplStorage) -> Result<Self> {
+        self.single_part_only("replacing the APL storage")?;
+        if apl.len() != self.len() {
+            return Err(Error::InvalidConfig(format!(
+                "replacement APL covers {} trajectories, the index {}",
+                apl.len(),
+                self.len()
+            )));
+        }
+        self.parts[0].apl = apl;
+        Ok(self)
+    }
+
+    fn single_part_only(&self, what: &str) -> Result<()> {
+        if self.parts.len() > 1 {
+            return Err(Error::InvalidConfig(format!(
+                "{what} needs a single-part index (this one has {} parts)",
+                self.parts.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Reassembles an index from deserialized components (the snapshot
+    /// loader's constructor). The caller — [`crate::snapshot`] — has
+    /// already validated cross-component consistency and recomputed
+    /// the membership; the result has in-memory APLs and fresh
+    /// counters.
+    pub(crate) fn from_parts(
+        config: GatConfig,
+        partition: Partition,
+        grid: Grid,
+        hicl: Hicl,
+        itl: Itl,
+        parts: Vec<(Tas, crate::apl::Apl)>,
+        membership: &[Vec<TrajectoryId>],
+    ) -> Self {
+        let n = membership.iter().map(Vec::len).sum();
+        let parts = parts
+            .into_iter()
+            .map(|(tas, apl)| Part::new(tas, AplStorage::Memory(apl)))
+            .collect();
+        Self::new(
+            config,
+            partition,
+            grid,
+            hicl,
+            itl,
+            parts,
+            owner_table(n, membership),
+        )
     }
 
     /// The configuration the index was built with.
@@ -159,27 +229,110 @@ impl GatIndex {
         &self.itl
     }
 
-    /// The trajectory activity sketches.
-    pub fn tas(&self) -> &Tas {
-        &self.tas
+    /// Trajectories indexed.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(Part::len).sum()
     }
 
-    /// The activity posting lists (either backend).
-    pub fn apl(&self) -> &AplStorage {
-        &self.apl
+    /// Whether the index holds no trajectories.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Fetches the posting lists of trajectory `idx`, charging one APL
-    /// read. Borrowed from memory or fetched through the buffer pool
-    /// depending on the backend; fails only on a paged-storage error.
-    pub fn postings(&self, idx: usize) -> Result<Cow<'_, TrajectoryPostings>> {
-        self.stats.record_apl_read();
-        self.apl.postings(idx).map_err(storage_err)
+    /// The verification parts, in part order.
+    pub(crate) fn parts(&self) -> &[Part] {
+        &self.parts
     }
 
-    /// The simulated-I/O counters.
-    pub fn stats(&self) -> &IoStats {
-        &self.stats
+    /// The part owning global trajectory `tr`, and its local id there.
+    pub(crate) fn locate(&self, tr: TrajectoryId) -> (usize, usize) {
+        match self.owner.get(tr.index()) {
+            Some(&(part, local)) => (part as usize, local as usize),
+            None => (0, tr.index()),
+        }
+    }
+
+    /// The activity sketch of trajectory `tr`.
+    pub fn sketch(&self, tr: TrajectoryId) -> &Sketch {
+        let (p, local) = self.locate(tr);
+        self.parts[p].tas.sketch(local)
+    }
+
+    /// Fetches the posting lists of trajectory `tr`, charging one APL
+    /// read to its part. Borrowed from memory or fetched through the
+    /// buffer pool depending on the backend; fails only on a
+    /// paged-storage error.
+    pub fn postings(&self, tr: TrajectoryId) -> Result<Cow<'_, TrajectoryPostings>> {
+        let (p, local) = self.locate(tr);
+        self.parts[p].postings(local)
+    }
+
+    /// Buffer-pool counters of a paged APL; `None` for in-memory APLs.
+    pub fn apl_pool_stats(&self) -> Option<PoolStats> {
+        self.parts[0].apl.pool_stats()
+    }
+
+    /// Number of verification parts (`1` for the single index).
+    pub fn shard_count(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// The partitioner that assigned trajectories to parts.
+    pub fn partition(&self) -> Partition {
+        self.partition
+    }
+
+    /// Trajectories per part, in part order.
+    pub fn shard_sizes(&self) -> Vec<usize> {
+        self.parts.iter().map(Part::len).collect()
+    }
+
+    /// Engine totals of the simulated-I/O counters: the traversal's
+    /// cold HICL reads plus every part's verification work.
+    pub fn stats(&self) -> IoSnapshot {
+        self.parts
+            .iter()
+            .fold(self.stats.snapshot(), |acc, p| acc.add(&p.stats.snapshot()))
+    }
+
+    /// Counters of the traversal alone (cold HICL reads of candidate
+    /// retrieval; candidates are charged to their owner part).
+    pub fn router_stats(&self) -> IoSnapshot {
+        self.stats.snapshot()
+    }
+
+    /// Per-part counter snapshots, in part order.
+    pub fn per_shard_stats(&self) -> Vec<IoSnapshot> {
+        self.parts.iter().map(|p| p.stats.snapshot()).collect()
+    }
+
+    /// Accumulated per-part verification time in nanoseconds, in part
+    /// order; zeros for a single part, whose queries read no clock.
+    pub fn per_shard_busy_ns(&self) -> Vec<u64> {
+        self.parts.iter().map(Part::busy_ns).collect()
+    }
+
+    /// Accumulated nanoseconds queries spent outside owner-part
+    /// verification — traversal, lower bound and routing; zero for a
+    /// single part.
+    pub fn router_busy_ns(&self) -> u64 {
+        // ordering: Relaxed — advisory busy-time tally (see field).
+        self.router_busy_ns.load(AtomicOrdering::Relaxed)
+    }
+
+    pub(crate) fn add_router_busy(&self, ns: u64) {
+        // ordering: Relaxed — advisory busy-time tally (see field).
+        self.router_busy_ns.fetch_add(ns, AtomicOrdering::Relaxed);
+    }
+
+    /// Zeroes every counter, APL buffer-pool statistic and busy time.
+    pub fn reset_stats(&self) {
+        self.stats.reset();
+        for p in &self.parts {
+            p.reset();
+        }
+        // ordering: Relaxed — advisory stat reset (see field).
+        self.router_busy_ns.store(0, AtomicOrdering::Relaxed);
     }
 
     /// The paged cold HICL levels (paged builds with
@@ -228,19 +381,22 @@ impl GatIndex {
     /// Dynamically indexes one newly appended trajectory.
     ///
     /// Call after [`atsq_types::Dataset::append_trajectory`]; `tr` must
-    /// be the trajectory at index `self.tas().len()` (appends must be
-    /// indexed in order, exactly once). Points outside the original
-    /// grid region are clamped into the border cells, so the index
-    /// stays correct — though heavy out-of-region growth degrades
-    /// pruning and warrants a rebuild.
+    /// be the trajectory at index `self.len()` (appends must be indexed
+    /// in order, exactly once). Points outside the original grid region
+    /// are clamped into the border cells, so the index stays correct —
+    /// though heavy out-of-region growth degrades pruning and warrants
+    /// a rebuild.
     ///
-    /// Fails when the paged APL backend cannot append the new posting
-    /// record, and for indexes built with paged cold HICL levels
-    /// (their page records are immutable — rebuild instead); the
-    /// in-memory backend is infallible.
+    /// Fails with [`Error::InvalidConfig`] on an index with more than
+    /// one part (its partition is a function of the whole dataset —
+    /// rebuild instead) and for indexes built with paged cold HICL
+    /// levels (their page records are immutable); fails too when the
+    /// paged APL backend cannot append the new posting record. The
+    /// in-memory single-part case is infallible.
     pub fn insert_trajectory(&mut self, tr: &atsq_types::Trajectory) -> Result<()> {
+        self.single_part_only("dynamic inserts")?;
         if self.cold_hicl.is_some() {
-            return Err(atsq_types::Error::InvalidConfig(
+            return Err(Error::InvalidConfig(
                 "dynamic inserts are not supported with paged cold HICL levels; \
                  rebuild the index"
                     .into(),
@@ -248,12 +404,13 @@ impl GatIndex {
         }
         assert_eq!(
             tr.id.index(),
-            self.tas.len(),
+            self.len(),
             "trajectories must be indexed in append order"
         );
         // Append the posting record first: if the paged backend fails,
         // no other component has been touched yet.
-        self.apl.push(tr).map_err(storage_err)?;
+        let part = &mut self.parts[0];
+        part.apl.push(tr).map_err(storage_err)?;
         for p in &tr.points {
             let cell = self.grid.leaf_cell_of(&p.loc);
             for a in p.activities.iter() {
@@ -261,12 +418,12 @@ impl GatIndex {
                 self.itl.insert(cell, a, tr.id);
             }
         }
-        self.tas
+        part.tas
             .push(&tr.all_activities(), self.config.tas_intervals);
         Ok(())
     }
 
-    /// Memory accounting for the Fig. 8 experiment.
+    /// Memory accounting for the Fig. 8 experiment, summed over parts.
     pub fn memory_report(&self) -> MemoryReport {
         let h = self.config.memory_level;
         let hicl_hot = self.hicl.memory_bytes(h);
@@ -275,8 +432,8 @@ impl GatIndex {
             hicl_hot_bytes: hicl_hot,
             hicl_cold_bytes: hicl_total - hicl_hot,
             itl_bytes: self.itl.memory_bytes(),
-            tas_bytes: self.tas.memory_bytes(),
-            apl_disk_bytes: self.apl.disk_bytes(),
+            tas_bytes: self.parts.iter().map(|p| p.tas.memory_bytes()).sum(),
+            apl_disk_bytes: self.parts.iter().map(|p| p.apl.disk_bytes()).sum(),
         }
     }
 }
@@ -318,9 +475,8 @@ impl MemoryReport {
 
 /// Expands degenerate dataset bounds into a usable grid region: empty
 /// datasets get a unit square, zero-extent axes get padding so cells
-/// have positive area. Shared with the sharded engine's router index,
-/// whose grid must tile the same region as a single index would.
-pub(crate) fn usable_region(bounds: Rect) -> Rect {
+/// have positive area.
+fn usable_region(bounds: Rect) -> Rect {
     if bounds.is_empty() {
         return Rect::from_bounds(0.0, 0.0, 1.0, 1.0);
     }
@@ -367,8 +523,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(idx.tas().len(), 2);
-        assert_eq!(idx.apl().len(), 2);
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.shard_sizes(), vec![2]);
         assert_eq!(idx.hicl().activity_count(), 3);
         assert!(idx.itl().cell_count() >= 2);
         // The cell of (1,1) contains "coffee".
@@ -394,7 +550,7 @@ mod tests {
         let leaf = idx.grid().leaf_cell_of(&Point::new(1.0, 1.0));
         let _ = idx.cell_activities(leaf); // level 4 > 2 -> cold
         let _ = idx.cell_activities(leaf.ancestor_at(1)); // hot
-        assert_eq!(idx.stats().snapshot().hicl_cold_reads, 1);
+        assert_eq!(idx.stats().hicl_cold_reads, 1);
     }
 
     #[test]
@@ -421,11 +577,41 @@ mod tests {
         );
     }
 
+    /// Replacing the APL storage needs a single part: a sharded index
+    /// refuses with a typed error instead of panicking.
+    #[test]
+    fn sharded_index_rejects_apl_replacement() {
+        let d = small_dataset();
+        let index = GatIndex::build_sharded(&d, GatConfig::default(), 2, Partition::Hash).unwrap();
+        let apl = AplStorage::Memory(crate::apl::Apl::build(d.trajectories()));
+        let err = index.with_apl_storage(apl).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        // A single part takes storage of the right length only.
+        let single = GatIndex::build(&d).unwrap();
+        let short = AplStorage::Memory(crate::apl::Apl::build(&d.trajectories()[..1]));
+        let err = single.with_apl_storage(short).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+    }
+
+    /// Dynamic inserts need a single part: a sharded index's partition
+    /// is a function of the whole dataset.
+    #[test]
+    fn sharded_index_rejects_dynamic_inserts() {
+        let mut d = small_dataset();
+        let mut index =
+            GatIndex::build_sharded(&d, GatConfig::default(), 2, Partition::Spatial).unwrap();
+        let points = d.trajectories()[0].points.clone();
+        let id = d.append_trajectory(points).unwrap();
+        let err = index.insert_trajectory(d.trajectory(id)).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        assert_eq!(index.len(), 2, "a refused insert changes nothing");
+    }
+
     #[test]
     fn empty_dataset_builds() {
         let d = DatasetBuilder::new().finish().unwrap();
         let idx = GatIndex::build(&d).unwrap();
-        assert_eq!(idx.tas().len(), 0);
+        assert!(idx.is_empty());
         assert_eq!(idx.hicl().activity_count(), 0);
     }
 

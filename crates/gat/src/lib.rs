@@ -18,13 +18,20 @@
 //!    counters ([`stats::IoStats`]) and a real paged backend behind a
 //!    buffer pool ([`paged`]), selected at build time.
 //!
+//! Retrieval (grid, HICL, ITL) and verification (TAS, APL) are
+//! separate halves of one [`GatIndex`]: the traversal half covers
+//! every trajectory once, and the verification half is split into
+//! `S ≥ 1` parts ([`sharded`]) that each hold the TAS and APL of their
+//! members. `S = 1` is the paper's single index; every `S` answers
+//! identically.
+//!
 //! [`search`] implements Algorithm 1 (the outer loop), the candidate
 //! retrieval of §V-A, the tightened lower bound of Algorithm 2, and the
-//! ATSQ / OATSQ query entry points. [`sharded`] runs the same loop over
-//! a router index and verifies each candidate on its owner shard.
+//! ATSQ / OATSQ query entry points; each candidate is verified on the
+//! part that owns it.
 //!
-//! [`snapshot`] persists built indexes (single or sharded) as
-//! versioned, checksummed binary snapshots keyed by the dataset's
+//! [`snapshot`] persists a built index — one file for every `S` — as a
+//! versioned, checksummed binary snapshot keyed by the dataset's
 //! content hash, so a server restart loads in milliseconds instead of
 //! rebuilding every layer; see [`snapshot::IndexCache`].
 
@@ -38,7 +45,6 @@ pub mod index;
 pub mod itl;
 pub mod kernel;
 pub mod paged;
-mod router;
 pub mod search;
 pub mod sharded;
 pub mod snapshot;
@@ -52,6 +58,6 @@ pub use paged::{AplStorage, PagedApl, PagedAplConfig, PagedBacking};
 pub use search::{
     atsq, atsq_range, oatsq, oatsq_range, try_atsq, try_atsq_range, try_oatsq, try_oatsq_range,
 };
-pub use sharded::{Partition, ShardedEngine};
+pub use sharded::Partition;
 pub use snapshot::{CacheOutcome, IndexCache, SnapshotInfo};
 pub use stats::IoStats;

@@ -3,58 +3,20 @@
 //! Algorithm-2 lower bound for unseen trajectories, and the ATSQ /
 //! OATSQ entry points.
 
+use crate::apl::TrajectoryPostings;
 use crate::config::GatConfig;
 use crate::index::GatIndex;
 use crate::kernel::ScoreScratch;
-use atsq_grid::{CellId, Grid};
+use crate::sharded::{BusyClock, Part};
+use atsq_grid::CellId;
 use atsq_matching::order_match::{min_order_match_distance, order_feasible};
 use atsq_matching::point_match::{dmpm_from_sorted, CandidatePoint, QueryMask};
 use atsq_types::{
-    rank_top_k, ActivityId, ActivitySet, Dataset, Query, QueryResult, Result, TrajectoryId,
+    rank_top_k, ActivitySet, Dataset, Query, QueryResult, Result, TrajectoryId, TrajectoryPoint,
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// What the §V-A candidate retrieval needs from an index: the grid
-/// geometry, the HICL descent and the leaf-cell ITL harvest — but
-/// *not* the per-trajectory verification structures (TAS/APL).
-///
-/// Implemented by the full [`GatIndex`] (the single-index search) and
-/// by the sharded engine's lightweight router index
-/// ([`crate::router::RouterIndex`]), which owns only these components
-/// and lets one traversal feed every shard's verification.
-pub(crate) trait CandidateSource {
-    /// The configuration governing grid depth and retrieval knobs.
-    fn config(&self) -> &GatConfig;
-    /// The hierarchical grid.
-    fn grid(&self) -> &Grid;
-    /// Trajectories performing `act` inside leaf cell `cell`.
-    fn itl_trajectories(&self, cell: CellId, act: ActivityId) -> &[TrajectoryId];
-    /// Activities present in `cell`, with cold-read accounting.
-    fn cell_activities(&self, cell: CellId) -> Result<Option<Cow<'_, ActivitySet>>>;
-    /// Children of `cell` containing any wanted activity, with
-    /// cold-read accounting.
-    fn children_with_any(&self, cell: CellId, wanted: &ActivitySet) -> Result<Vec<CellId>>;
-}
-
-impl CandidateSource for GatIndex {
-    fn config(&self) -> &GatConfig {
-        GatIndex::config(self)
-    }
-    fn grid(&self) -> &Grid {
-        GatIndex::grid(self)
-    }
-    fn itl_trajectories(&self, cell: CellId, act: ActivityId) -> &[TrajectoryId] {
-        self.itl().trajectories(cell, act)
-    }
-    fn cell_activities(&self, cell: CellId) -> Result<Option<Cow<'_, ActivitySet>>> {
-        GatIndex::cell_activities(self, cell)
-    }
-    fn children_with_any(&self, cell: CellId, wanted: &ActivitySet) -> Result<Vec<CellId>> {
-        GatIndex::children_with_any(self, cell, wanted)
-    }
-}
 
 /// Total-ordering wrapper for f64 priorities (never NaN here).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,10 +58,10 @@ impl Ord for PqEntry {
     }
 }
 
-/// Best-first candidate retrieval with the Algorithm-2 lower bound,
-/// generic over the [`CandidateSource`] the traversal runs against.
-struct Retrieval<'a, S: CandidateSource> {
-    source: &'a S,
+/// Best-first candidate retrieval with the Algorithm-2 lower bound
+/// over the index's traversal half (grid, HICL, ITL).
+struct Retrieval<'a> {
+    source: &'a GatIndex,
     query: &'a Query,
     pq: BinaryHeap<PqEntry>,
     /// Per query point: ALL unvisited frontier cells (pushed but not
@@ -112,10 +74,9 @@ struct Retrieval<'a, S: CandidateSource> {
     seen: Vec<bool>,
 }
 
-impl<'a, S: CandidateSource> Retrieval<'a, S> {
-    /// Seeds the traversal. `n_trajectories` sizes the dedup bitmap —
-    /// the trajectory-id space the source's ITL draws from.
-    fn new(source: &'a S, n_trajectories: usize, query: &'a Query) -> Result<Self> {
+impl<'a> Retrieval<'a> {
+    /// Seeds the traversal.
+    fn new(source: &'a GatIndex, query: &'a Query) -> Result<Self> {
         let m = query.points.len();
         let mut pq = BinaryHeap::new();
         let mut frontier = vec![Vec::new(); m];
@@ -141,13 +102,13 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
             query,
             pq,
             frontier,
-            seen: vec![false; n_trajectories],
+            seen: vec![false; source.len()],
         })
     }
 
     /// Dequeues cells until at least `lambda` fresh candidates are
     /// collected (or the queue empties). Returns the new candidates;
-    /// the index that verifies a candidate charges it (see
+    /// the part that verifies a candidate charges it (see
     /// [`evaluate_atsq`]).
     fn retrieve_batch(&mut self, lambda: usize) -> Result<Vec<TrajectoryId>> {
         let mut out = Vec::new();
@@ -170,7 +131,7 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
             } else {
                 // Leaf: harvest the ITL under each query activity.
                 for a in q.activities.iter() {
-                    for &tr in self.source.itl_trajectories(entry.cell, a) {
+                    for &tr in self.source.itl().trajectories(entry.cell, a) {
                         if !self.seen[tr.index()] {
                             self.seen[tr.index()] = true;
                             out.push(tr);
@@ -315,38 +276,28 @@ impl TopK {
     }
 }
 
-/// Validates a candidate and computes `Dmm` through the index's TAS and
-/// APL (the §V-C / §V-D pipeline), charging the candidate to `index`.
+/// Validates a candidate — local id `local` of `part`, whose points
+/// are `points` — and computes `Dmm` through the part's TAS and APL
+/// (the §V-C / §V-D pipeline), charging the candidate to the part.
 /// Returns `Ok(None)` for invalid candidates; `Err` only on a paged-APL
 /// storage failure.
 ///
 /// Candidate-point scoring runs through the SoA batch kernel in
 /// `scratch` — bit-identical to the scalar reference (see
 /// [`crate::kernel`]) but allocation-free and autovectorizable.
-pub(crate) fn evaluate_atsq(
-    index: &GatIndex,
-    dataset: &Dataset,
+fn evaluate_atsq(
+    config: &GatConfig,
+    part: &Part,
+    local: usize,
+    points: &[TrajectoryPoint],
     query: &Query,
     all_acts: &ActivitySet,
-    tr: TrajectoryId,
     scratch: &mut ScoreScratch,
 ) -> Result<Option<f64>> {
-    index.stats().record_candidate();
-    if index.config().use_tas {
-        index.stats().record_tas_check();
-        if !index.tas().sketch(tr.index()).covers(all_acts) {
-            return Ok(None);
-        }
-    }
-    let postings = index.postings(tr.index())?;
-    if !postings.contains_all(all_acts) {
-        if index.config().use_tas {
-            index.stats().record_tas_false_positive();
-        }
+    let Some(postings) = validate(config, part, local, all_acts)? else {
         return Ok(None);
-    }
-    index.stats().record_distance();
-    let points = &dataset.trajectory(tr).points;
+    };
+    part.stats.record_distance();
     let mut total = 0.0;
     for q in &query.points {
         let qmask = QueryMask::new(&q.activities);
@@ -361,109 +312,132 @@ pub(crate) fn evaluate_atsq(
 }
 
 /// Validates a candidate for OATSQ (TAS → APL → MIB), charging it to
-/// `index`, and computes `Dmom` with the `Dkmom` early exit.
-pub(crate) fn evaluate_oatsq(
-    index: &GatIndex,
-    dataset: &Dataset,
+/// its part, and computes `Dmom` with the `Dkmom` early exit.
+fn evaluate_oatsq(
+    config: &GatConfig,
+    part: &Part,
+    local: usize,
+    points: &[TrajectoryPoint],
     query: &Query,
     all_acts: &ActivitySet,
-    tr: TrajectoryId,
     dk: f64,
 ) -> Result<Option<f64>> {
-    index.stats().record_candidate();
-    if index.config().use_tas {
-        index.stats().record_tas_check();
-        if !index.tas().sketch(tr.index()).covers(all_acts) {
-            return Ok(None);
-        }
-    }
-    let postings = index.postings(tr.index())?;
-    if !postings.contains_all(all_acts) {
-        if index.config().use_tas {
-            index.stats().record_tas_false_positive();
-        }
+    if validate(config, part, local, all_acts)?.is_none() {
         return Ok(None);
     }
-    let points = &dataset.trajectory(tr).points;
     // MIB filter (§VI-B) before the expensive dynamic program.
     if !order_feasible(query, points) {
         return Ok(None);
     }
-    index.stats().record_distance();
+    part.stats.record_distance();
     Ok(min_order_match_distance(query, points, dk))
 }
 
-/// Runs Algorithm 1 over the candidate stream of `source`, whose ITL
-/// draws trajectory ids from `0..n_trajectories`.
+/// The shared head of both verifications: charges the candidate, runs
+/// the TAS filter, then fetches the APL and confirms every query
+/// activity. Returns the postings of a valid candidate.
+fn validate<'p>(
+    config: &GatConfig,
+    part: &'p Part,
+    local: usize,
+    all_acts: &ActivitySet,
+) -> Result<Option<Cow<'p, TrajectoryPostings>>> {
+    part.stats.record_candidate();
+    if config.use_tas {
+        part.stats.record_tas_check();
+        if !part.tas.sketch(local).covers(all_acts) {
+            return Ok(None);
+        }
+    }
+    let postings = part.postings(local)?;
+    if !postings.contains_all(all_acts) {
+        if config.use_tas {
+            part.stats.record_tas_false_positive();
+        }
+        return Ok(None);
+    }
+    Ok(Some(postings))
+}
+
+/// Runs Algorithm 1 over the index's candidate stream.
 ///
-/// `evaluate(tr, dk)` verifies one retrieved candidate against the
-/// current k-th best distance `dk` and returns its distance, or `None`
-/// for an invalid candidate. The single index evaluates on itself; the
-/// sharded engine's evaluator sends each candidate to its owner shard.
-/// Either way the heap's content is independent of which index
-/// verified a candidate (see [`TopK`]), so both answer identically.
-pub(crate) fn search_loop<S: CandidateSource>(
-    source: &S,
-    n_trajectories: usize,
+/// `verify(part, local, tr, dk)` verifies one retrieved candidate `tr`
+/// — local id `local` of its owner `part` — against the current k-th
+/// best distance `dk` and returns its distance, or `None` for an
+/// invalid candidate. The heap holds global ids and its content is
+/// independent of which part verified a candidate (see [`TopK`]), so
+/// every part count answers identically.
+fn search_loop(
+    index: &GatIndex,
     query: &Query,
     k: usize,
-    mut evaluate: impl FnMut(TrajectoryId, f64) -> Result<Option<f64>>,
+    mut verify: impl FnMut(&Part, usize, TrajectoryId, f64) -> Result<Option<f64>>,
 ) -> Result<Vec<QueryResult>> {
-    if k == 0 || n_trajectories == 0 {
+    if k == 0 || index.is_empty() {
         return Ok(Vec::new());
     }
-    let mut retrieval = Retrieval::new(source, n_trajectories, query)?;
-    let mut top = TopK::new(k);
-    let lambda = source.config().lambda;
-    loop {
-        for tr in retrieval.retrieve_batch(lambda)? {
-            if let Some(dist) = evaluate(tr, top.kth())? {
-                top.offer(dist, tr);
+    let mut clock = BusyClock::start(index);
+    let result = (|| {
+        let mut retrieval = Retrieval::new(index, query)?;
+        let mut top = TopK::new(k);
+        let lambda = index.config().lambda;
+        loop {
+            for tr in retrieval.retrieve_batch(lambda)? {
+                let dk = top.kth();
+                if let Some(dist) = clock.verify(index, tr, |p, l| verify(p, l, tr, dk))? {
+                    top.offer(dist, tr);
+                }
+            }
+            if retrieval.exhausted() {
+                break;
+            }
+            // Termination: the k-th best beats anything still unseen.
+            if top.kth() < retrieval.lower_bound()? {
+                break;
             }
         }
-        if retrieval.exhausted() {
-            break;
-        }
-        // Termination: the k-th best beats anything still unseen.
-        if top.kth() < retrieval.lower_bound()? {
-            break;
-        }
-    }
-    Ok(rank_top_k(top.into_results(), k))
+        Ok(rank_top_k(top.into_results(), k))
+    })();
+    clock.finish(index);
+    result
 }
 
 /// Range variant of [`search_loop`]: every trajectory within `tau`.
-/// `evaluate` receives `tau` as its pruning distance.
-pub(crate) fn range_loop<S: CandidateSource>(
-    source: &S,
-    n_trajectories: usize,
+/// `verify` receives `tau` as its pruning distance.
+fn range_loop(
+    index: &GatIndex,
     query: &Query,
     tau: f64,
-    mut evaluate: impl FnMut(TrajectoryId, f64) -> Result<Option<f64>>,
+    mut verify: impl FnMut(&Part, usize, TrajectoryId, f64) -> Result<Option<f64>>,
 ) -> Result<Vec<QueryResult>> {
-    let mut out = Vec::new();
-    if n_trajectories == 0 || tau < 0.0 {
-        return Ok(out);
+    if index.is_empty() || tau < 0.0 {
+        return Ok(Vec::new());
     }
-    let mut retrieval = Retrieval::new(source, n_trajectories, query)?;
-    let lambda = source.config().lambda;
-    loop {
-        for tr in retrieval.retrieve_batch(lambda)? {
-            if let Some(dist) = evaluate(tr, tau)? {
-                if dist <= tau {
-                    out.push(QueryResult::new(tr, dist));
+    let mut clock = BusyClock::start(index);
+    let result = (|| {
+        let mut out = Vec::new();
+        let mut retrieval = Retrieval::new(index, query)?;
+        let lambda = index.config().lambda;
+        loop {
+            for tr in retrieval.retrieve_batch(lambda)? {
+                if let Some(dist) = clock.verify(index, tr, |p, l| verify(p, l, tr, tau))? {
+                    if dist <= tau {
+                        out.push(QueryResult::new(tr, dist));
+                    }
                 }
             }
+            if retrieval.exhausted() {
+                break;
+            }
+            // Every unseen trajectory is strictly beyond the radius.
+            if retrieval.lower_bound()? > tau {
+                break;
+            }
         }
-        if retrieval.exhausted() {
-            break;
-        }
-        // Every unseen trajectory is strictly beyond the radius.
-        if retrieval.lower_bound()? > tau {
-            break;
-        }
-    }
-    Ok(rank_top_k(out, usize::MAX))
+        Ok(rank_top_k(out, usize::MAX))
+    })();
+    clock.finish(index);
+    result
 }
 
 /// Fallible form of [`atsq_range`]; errs only on paged-APL failures.
@@ -475,8 +449,17 @@ pub fn try_atsq_range(
 ) -> Result<Vec<QueryResult>> {
     let all_acts = query.all_activities();
     let mut scratch = ScoreScratch::new();
-    range_loop(index, dataset.len(), query, tau, |tr, _| {
-        evaluate_atsq(index, dataset, query, &all_acts, tr, &mut scratch)
+    range_loop(index, query, tau, |part, local, tr, _| {
+        let points = &dataset.trajectory(tr).points;
+        evaluate_atsq(
+            index.config(),
+            part,
+            local,
+            points,
+            query,
+            &all_acts,
+            &mut scratch,
+        )
     })
 }
 
@@ -505,9 +488,10 @@ pub fn try_oatsq_range(
     tau: f64,
 ) -> Result<Vec<QueryResult>> {
     let all_acts = query.all_activities();
-    range_loop(index, dataset.len(), query, tau, |tr, tau| {
+    range_loop(index, query, tau, |part, local, tr, tau| {
         // Algorithm 4's early exit doubles as the radius filter.
-        evaluate_oatsq(index, dataset, query, &all_acts, tr, tau)
+        let points = &dataset.trajectory(tr).points;
+        evaluate_oatsq(index.config(), part, local, points, query, &all_acts, tau)
     })
 }
 
@@ -533,8 +517,17 @@ pub fn try_atsq(
 ) -> Result<Vec<QueryResult>> {
     let all_acts = query.all_activities();
     let mut scratch = ScoreScratch::new();
-    search_loop(index, dataset.len(), query, k, |tr, _dk| {
-        evaluate_atsq(index, dataset, query, &all_acts, tr, &mut scratch)
+    search_loop(index, query, k, |part, local, tr, _dk| {
+        let points = &dataset.trajectory(tr).points;
+        evaluate_atsq(
+            index.config(),
+            part,
+            local,
+            points,
+            query,
+            &all_acts,
+            &mut scratch,
+        )
     })
 }
 
@@ -556,8 +549,9 @@ pub fn try_oatsq(
     k: usize,
 ) -> Result<Vec<QueryResult>> {
     let all_acts = query.all_activities();
-    search_loop(index, dataset.len(), query, k, |tr, dk| {
-        evaluate_oatsq(index, dataset, query, &all_acts, tr, dk)
+    search_loop(index, query, k, |part, local, tr, dk| {
+        let points = &dataset.trajectory(tr).points;
+        evaluate_oatsq(index.config(), part, local, points, query, &all_acts, dk)
     })
 }
 
@@ -703,7 +697,7 @@ mod tests {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
         let _ = atsq(&idx, &d, &query(), 2);
-        let s = idx.stats().snapshot();
+        let s = idx.stats();
         assert!(s.candidates_retrieved > 0);
         assert!(s.tas_checks > 0);
         assert!(s.distances_computed > 0);

@@ -1,27 +1,27 @@
 //! Persistent GAT index snapshots.
 //!
-//! Building a [`GatIndex`] is expensive relative to querying it, yet
-//! every process start used to rebuild all layers — and a
-//! [`ShardedEngine`] rebuilds one per shard. This module serializes a
-//! built index (grid + HICL + ITL + TAS + APL) into a versioned,
-//! checksummed binary snapshot keyed by
+//! Building a [`GatIndex`] is expensive relative to querying it. This
+//! module serializes a built index — the traversal half (grid, HICL,
+//! ITL) once, then each verification part's TAS and APL — into one
+//! versioned, checksummed binary snapshot keyed by
 //! [`Dataset::content_hash`], so a restart *loads* instead of
-//! *builds*.
+//! *builds*. Every shard count uses the same single-file layout.
 //!
 //! Safety over speed: a snapshot is only ever used when every check
 //! passes — magic, format version, payload checksum
 //! ([`atsq_storage::page::crc32`], the same CRC the page store uses),
-//! dataset content hash, GAT configuration, and cross-component
-//! consistency. Any mismatch yields a descriptive error and the caller
-//! falls back to a fresh build: the worst possible outcome of a
-//! corrupt or stale snapshot is a rebuild, never a wrong answer.
+//! dataset content hash, GAT configuration, part layout, and
+//! cross-component consistency. Any mismatch yields a descriptive
+//! error and the caller falls back to a fresh build of the whole
+//! index: the worst possible outcome of a corrupt or stale snapshot is
+//! a rebuild, never a wrong answer.
 //!
 //! ## File format
 //!
 //! ```text
 //! offset 0   [u8; 8]  magic b"ATSQSNAP"
-//! offset 8   u16 LE   format version (currently 1)
-//! offset 10  u8       kind (1 = single index, 2 = shard manifest)
+//! offset 8   u16 LE   format version (currently 2)
+//! offset 10  u8       kind (1 = index; every other value is rejected)
 //! offset 11  u8       reserved (written as 0)
 //! offset 12  u64 LE   content hash of the dataset the payload serves
 //! offset 20  u32 LE   CRC-32 of the payload
@@ -29,18 +29,18 @@
 //! offset 32  ...      payload
 //! ```
 //!
-//! A *single index* payload is the [`GatConfig`], the grid geometry and
-//! the four components, each through its own strict `encode`/`decode`
-//! pair. A *shard manifest* payload records the shard count, the
-//! [`Partition`] and the configuration; the per-shard indexes live in
-//! sibling single-index files keyed by each shard subset's own content
-//! hash. Shard *datasets* are not persisted — partitioning is a cheap
-//! deterministic function of the dataset, so the loader re-runs it and
-//! validates every shard snapshot against the recomputed subset.
+//! The payload is the [`GatConfig`], the part count `S` (varint), the
+//! [`Partition`] (one byte), the grid geometry, the HICL and the ITL,
+//! then `S` (TAS, APL) pairs in part order — each component through
+//! its own strict `encode`/`decode` pair. Part *membership* is not
+//! persisted: partitioning is a cheap deterministic function of the
+//! dataset, so the loader re-runs it and rejects a file whose part
+//! sizes disagree with it. Version 1 files (a single-index kind plus
+//! a shard-manifest kind) fail the version check and are rebuilt.
 //!
 //! [`IndexCache`] wraps the format in a directory-level API
-//! (`load_or_build`, `save`, `inspect`) used by `atsq index build`,
-//! `atsq serve --index-cache` and `ServiceConfig::index_cache`.
+//! (`load_or_build`, `save_index`, `entries`) used by `atsq index
+//! build`, `atsq serve --index-cache` and `ServiceConfig::index_cache`.
 
 use crate::apl::Apl;
 use crate::config::GatConfig;
@@ -48,7 +48,7 @@ use crate::hicl::Hicl;
 use crate::index::GatIndex;
 use crate::itl::Itl;
 use crate::paged::AplStorage;
-use crate::sharded::{shard_config, Partition, ShardedEngine};
+use crate::sharded::{membership, Part, Partition};
 use crate::tas::Tas;
 use atsq_grid::Grid;
 use atsq_storage::codec::{get_varint_u64, put_varint_u64};
@@ -61,35 +61,26 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ATSQSNAP";
 
 /// Format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Header length in bytes (see the module docs for the layout).
 pub const SNAPSHOT_HEADER_LEN: usize = 32;
 
 const KIND_INDEX: u8 = 1;
-const KIND_MANIFEST: u8 = 2;
 
 fn corrupt(msg: impl Into<String>) -> Error {
     Error::Storage(msg.into())
-}
-
-fn kind_name(kind: u8) -> &'static str {
-    match kind {
-        KIND_INDEX => "index",
-        KIND_MANIFEST => "manifest",
-        _ => "unknown",
-    }
 }
 
 // ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
 
-fn frame(kind: u8, dataset_hash: u64, payload: &[u8]) -> Vec<u8> {
+fn frame(dataset_hash: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.push(kind);
+    out.push(KIND_INDEX);
     out.push(0);
     out.extend_from_slice(&dataset_hash.to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -100,7 +91,6 @@ fn frame(kind: u8, dataset_hash: u64, payload: &[u8]) -> Vec<u8> {
 
 /// Parsed and checksum-verified snapshot framing.
 struct Framed<'a> {
-    kind: u8,
     dataset_hash: u64,
     payload: &'a [u8],
 }
@@ -125,7 +115,7 @@ fn parse_frame(bytes: &[u8]) -> Result<Framed<'_>> {
         )));
     }
     let kind = bytes[10];
-    if kind != KIND_INDEX && kind != KIND_MANIFEST {
+    if kind != KIND_INDEX {
         return Err(corrupt(format!("unknown snapshot kind {kind}")));
     }
     let dataset_hash = u64::from_le_bytes(bytes[12..20].try_into().expect("8-byte slice"));
@@ -153,21 +143,9 @@ fn parse_frame(bytes: &[u8]) -> Result<Framed<'_>> {
         )));
     }
     Ok(Framed {
-        kind,
         dataset_hash,
         payload,
     })
-}
-
-fn check_kind(framed: &Framed<'_>, expected: u8) -> Result<()> {
-    if framed.kind != expected {
-        return Err(corrupt(format!(
-            "snapshot kind mismatch: expected a {} snapshot, found a {} snapshot",
-            kind_name(expected),
-            kind_name(framed.kind)
-        )));
-    }
-    Ok(())
 }
 
 fn check_dataset_hash(framed: &Framed<'_>, current: u64) -> Result<()> {
@@ -250,30 +228,44 @@ fn decode_grid(buf: &[u8], pos: &mut usize) -> Option<Grid> {
     ))
 }
 
+fn partition_tag(partition: Partition) -> u8 {
+    match partition {
+        Partition::Hash => 0,
+        Partition::Spatial => 1,
+    }
+}
+
+fn partition_from_tag(tag: u8) -> Option<Partition> {
+    match tag {
+        0 => Some(Partition::Hash),
+        1 => Some(Partition::Spatial),
+        _ => None,
+    }
+}
+
 // ---------------------------------------------------------------------
-// Single-index snapshots
+// Index snapshots
 // ---------------------------------------------------------------------
 
 /// Serializes a built index into snapshot bytes for `dataset` (the
 /// dataset the index was built from — its content hash keys the
 /// snapshot).
 ///
-/// Only plain in-memory indexes snapshot: the paged APL / cold-HICL
-/// backends hold their own page files and are rejected with
+/// Only in-memory indexes snapshot: the paged APL / cold-HICL backends
+/// hold their own page files and are rejected with
 /// [`Error::InvalidConfig`].
 pub fn write_index(index: &GatIndex, dataset: &Dataset) -> Result<Vec<u8>> {
-    write_index_with_hash(index, dataset.content_hash())
+    Ok(frame(dataset.content_hash(), &encode_index(index)?))
 }
 
-/// [`write_index`] with the dataset's content hash precomputed — the
-/// hash is a full scan of every point and save paths already computed
-/// it for the snapshot filename.
-fn write_index_with_hash(index: &GatIndex, dataset_hash: u64) -> Result<Vec<u8>> {
-    let AplStorage::Memory(apl) = index.apl() else {
-        return Err(Error::InvalidConfig(
-            "paged APL backends cannot be snapshotted; build the index in memory".into(),
-        ));
-    };
+fn encode_index(index: &GatIndex) -> Result<Vec<u8>> {
+    let parts: Vec<&Part> = index.parts().iter().collect();
+    encode_payload(index, &parts)
+}
+
+/// The payload of `index` with `parts` as its verification half —
+/// always `index.parts()` in order, except in tests that craft files.
+fn encode_payload(index: &GatIndex, parts: &[&Part]) -> Result<Vec<u8>> {
     if index.cold_hicl().is_some() {
         return Err(Error::InvalidConfig(
             "indexes with paged cold HICL levels cannot be snapshotted".into(),
@@ -281,17 +273,26 @@ fn write_index_with_hash(index: &GatIndex, dataset_hash: u64) -> Result<Vec<u8>>
     }
     let mut payload = Vec::new();
     encode_config(index.config(), &mut payload);
+    put_varint_u64(&mut payload, parts.len() as u64);
+    payload.push(partition_tag(index.partition()));
     encode_grid(index.grid(), &mut payload);
     index.hicl().encode(&mut payload);
     index.itl().encode(&mut payload);
-    index.tas().encode(&mut payload);
-    apl.encode(&mut payload);
-    Ok(frame(KIND_INDEX, dataset_hash, &payload))
+    for part in parts {
+        let AplStorage::Memory(apl) = &part.apl else {
+            return Err(Error::InvalidConfig(
+                "paged APL backends cannot be snapshotted; build the index in memory".into(),
+            ));
+        };
+        part.tas.encode(&mut payload);
+        apl.encode(&mut payload);
+    }
+    Ok(payload)
 }
 
-/// Decodes and fully validates a single-index snapshot against the
-/// dataset it is supposed to serve. Every failure is a descriptive
-/// error; callers treat any error as "no usable snapshot" and rebuild.
+/// Decodes and fully validates a snapshot against the dataset it is
+/// supposed to serve. Every failure is a descriptive error; callers
+/// treat any error as "no usable snapshot" and rebuild.
 pub fn read_index(bytes: &[u8], dataset: &Dataset) -> Result<GatIndex> {
     read_index_with_hash(bytes, dataset, dataset.content_hash())
 }
@@ -301,18 +302,33 @@ pub fn read_index(bytes: &[u8], dataset: &Dataset) -> Result<GatIndex> {
 /// already computed it to derive the snapshot filename.
 fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> Result<GatIndex> {
     let framed = parse_frame(bytes)?;
-    check_kind(&framed, KIND_INDEX)?;
     check_dataset_hash(&framed, dataset_hash)?;
     let buf = framed.payload;
     let mut pos = 0usize;
     let component = |name: &str| corrupt(format!("snapshot corrupt: {name} failed to decode"));
     let config = decode_config(buf, &mut pos).ok_or_else(|| component("GAT configuration"))?;
     config.validate()?;
+    let shards = get_varint_u64(buf, &mut pos)
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| component("part count"))?;
+    let partition = buf
+        .get(pos)
+        .copied()
+        .and_then(partition_from_tag)
+        .ok_or_else(|| component("partitioner"))?;
+    pos += 1;
     let grid = decode_grid(buf, &mut pos).ok_or_else(|| component("grid geometry"))?;
     let hicl = Hicl::decode(buf, &mut pos).ok_or_else(|| component("HICL"))?;
     let itl = Itl::decode(buf, &mut pos).ok_or_else(|| component("ITL"))?;
-    let tas = Tas::decode(buf, &mut pos).ok_or_else(|| component("TAS"))?;
-    let apl = Apl::decode(buf, &mut pos).ok_or_else(|| component("APL"))?;
+    // No preallocation: `shards` is untrusted, and every part costs at
+    // least two bytes, so a huge count fails on the buffer's end.
+    let mut parts = Vec::new();
+    for p in 0..shards {
+        let tas = Tas::decode(buf, &mut pos).ok_or_else(|| component(&format!("TAS {p}")))?;
+        let apl = Apl::decode(buf, &mut pos).ok_or_else(|| component(&format!("APL {p}")))?;
+        parts.push((tas, apl));
+    }
     if pos != buf.len() {
         return Err(corrupt(format!(
             "snapshot corrupt: {} undecoded bytes after the last component",
@@ -343,13 +359,17 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
             config.grid_level
         )));
     }
-    if tas.len() != dataset.len() || apl.len() != dataset.len() {
-        return Err(inconsistent(format!(
-            "TAS covers {} and APL {} trajectories, dataset has {}",
-            tas.len(),
-            apl.len(),
-            dataset.len()
-        )));
+    let membership = membership(dataset, shards, partition);
+    for (p, ((tas, apl), members)) in parts.iter().zip(&membership).enumerate() {
+        if tas.len() != members.len() || apl.len() != members.len() {
+            return Err(corrupt(format!(
+                "snapshot part sizes disagree with the partition: part {p} has TAS for {} \
+                 and APL for {} trajectories, the {partition} partitioner assigns it {}",
+                tas.len(),
+                apl.len(),
+                members.len()
+            )));
+        }
     }
     // Range checks on every decoded reference into the dataset: a
     // CRC-valid payload from a buggy or version-skewed writer must be
@@ -363,110 +383,29 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
             )));
         }
     }
-    for (i, tr) in dataset.trajectories().iter().enumerate() {
-        if let Some(max_pos) = apl.trajectory(i).max_position() {
-            if max_pos as usize >= tr.len() {
-                return Err(inconsistent(format!(
-                    "APL of trajectory {i} references point {max_pos}, \
-                     the trajectory has {} points",
-                    tr.len()
-                )));
+    for ((_, apl), members) in parts.iter().zip(&membership) {
+        for (local, &tr) in members.iter().enumerate() {
+            let points = dataset.trajectory(tr).len();
+            if let Some(max_pos) = apl.trajectory(local).max_position() {
+                if max_pos as usize >= points {
+                    return Err(inconsistent(format!(
+                        "APL of trajectory {} references point {max_pos}, \
+                         the trajectory has {points} points",
+                        tr.index()
+                    )));
+                }
             }
         }
     }
-    Ok(GatIndex::from_parts(config, grid, hicl, itl, tas, apl))
-}
-
-// ---------------------------------------------------------------------
-// Shard manifests
-// ---------------------------------------------------------------------
-
-fn partition_tag(partition: Partition) -> u8 {
-    match partition {
-        Partition::Hash => 0,
-        Partition::Spatial => 1,
-    }
-}
-
-fn partition_from_tag(tag: u8) -> Option<Partition> {
-    match tag {
-        0 => Some(Partition::Hash),
-        1 => Some(Partition::Spatial),
-        _ => None,
-    }
-}
-
-/// Serializes a sharded engine's manifest: shard count, partitioner
-/// and configuration, keyed by the *global* dataset hash. The
-/// per-shard indexes are written separately (see [`IndexCache`]).
-pub fn write_manifest(engine: &ShardedEngine, dataset: &Dataset) -> Result<Vec<u8>> {
-    write_manifest_with_hash(engine, dataset.content_hash())
-}
-
-/// [`write_manifest`] with the dataset hash precomputed (see
-/// [`write_index_with_hash`]).
-fn write_manifest_with_hash(engine: &ShardedEngine, dataset_hash: u64) -> Result<Vec<u8>> {
-    // The manifest records the engine's BASE configuration; per-shard
-    // grid depths are derived from it (see `shard_config`) and so are
-    // recomputable — persisting a tuned config would poison the key.
-    let config = *engine.base_config();
-    let mut payload = Vec::new();
-    put_varint_u64(&mut payload, engine.shard_count() as u64);
-    payload.push(partition_tag(engine.partition()));
-    encode_config(&config, &mut payload);
-    Ok(frame(KIND_MANIFEST, dataset_hash, &payload))
-}
-
-/// Decoded shard-manifest contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Manifest {
-    /// Number of shard snapshot files the manifest describes.
-    pub shards: usize,
-    /// Partitioner the shards were cut with.
-    pub partition: Partition,
-    /// Base GAT configuration (each shard's grid depth is derived
-    /// from it and the shard's point volume; see
-    /// [`crate::sharded::shard_config`]).
-    pub config: GatConfig,
-}
-
-/// Decodes and validates a shard manifest against the global dataset.
-pub fn read_manifest(bytes: &[u8], dataset: &Dataset) -> Result<Manifest> {
-    read_manifest_with_hash(bytes, dataset.content_hash())
-}
-
-/// [`read_manifest`] with the dataset hash precomputed (see
-/// [`read_index_with_hash`]).
-fn read_manifest_with_hash(bytes: &[u8], dataset_hash: u64) -> Result<Manifest> {
-    let framed = parse_frame(bytes)?;
-    check_kind(&framed, KIND_MANIFEST)?;
-    check_dataset_hash(&framed, dataset_hash)?;
-    let buf = framed.payload;
-    let mut pos = 0usize;
-    let component = |name: &str| corrupt(format!("snapshot corrupt: {name} failed to decode"));
-    let shards = get_varint_u64(buf, &mut pos)
-        .and_then(|n| usize::try_from(n).ok())
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| component("shard count"))?;
-    let partition = buf
-        .get(pos)
-        .copied()
-        .and_then(partition_from_tag)
-        .ok_or_else(|| component("partitioner"))?;
-    pos += 1;
-    let config = decode_config(buf, &mut pos).ok_or_else(|| component("GAT configuration"))?;
-    config.validate()?;
-    if pos != buf.len() {
-        return Err(corrupt(format!(
-            "snapshot corrupt: {} undecoded bytes after the manifest",
-            buf.len() - pos
-        )));
-    }
-    Ok(Manifest {
-        shards,
-        partition,
+    Ok(GatIndex::from_parts(
         config,
-    })
+        partition,
+        grid,
+        hicl,
+        itl,
+        parts,
+        &membership,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -477,7 +416,7 @@ fn read_manifest_with_hash(bytes: &[u8], dataset_hash: u64) -> Result<Manifest> 
 /// [`inspect`] after full checksum validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// `"index"` or `"manifest"`.
+    /// Always `"index"`: format version 2 has one kind.
     pub kind: &'static str,
     /// Format version the file was written with.
     pub version: u16,
@@ -493,7 +432,7 @@ pub fn inspect(path: &Path) -> Result<SnapshotInfo> {
     let bytes = read_file(path)?;
     let framed = parse_frame(&bytes)?;
     Ok(SnapshotInfo {
-        kind: kind_name(framed.kind),
+        kind: "index",
         version: SNAPSHOT_VERSION,
         dataset_hash: framed.dataset_hash,
         payload_bytes: framed.payload.len(),
@@ -507,13 +446,12 @@ pub fn inspect(path: &Path) -> Result<SnapshotInfo> {
 /// How [`IndexCache::load_or_build`] obtained its engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Every snapshot validated and was loaded — no index build ran.
+    /// The snapshot validated and was loaded — no index build ran.
     Loaded,
-    /// Some or all of the index had to be built fresh. The string is a
-    /// complete operator-readable account: what failed to load and
-    /// why, how much *did* load (a sharded start reports
-    /// `loaded k/S shard snapshots`), and whether the replacement
-    /// snapshot was saved — render it verbatim.
+    /// The index was built fresh. The string is a complete
+    /// operator-readable account: why the snapshot did not load and
+    /// whether the replacement snapshot was saved — render it
+    /// verbatim.
     Rebuilt(String),
 }
 
@@ -526,11 +464,11 @@ impl CacheOutcome {
 
 /// A directory of index snapshots keyed by dataset content hash.
 ///
-/// Filenames are derived from the dataset hash (and, for sharded
-/// engines, the shard count and partitioner), so one directory can
-/// cache snapshots for many datasets and sharding layouts side by
-/// side. Writes go through a temp file + rename, so a crash mid-save
-/// leaves no truncated snapshot under the final name.
+/// Filenames are derived from the dataset hash, the part layout and
+/// the configuration, so one directory can cache snapshots for many
+/// datasets and layouts side by side. Writes go through a temp file +
+/// rename, so a crash mid-save leaves no truncated snapshot under the
+/// final name.
 #[derive(Debug, Clone)]
 pub struct IndexCache {
     dir: PathBuf,
@@ -547,43 +485,22 @@ impl IndexCache {
         &self.dir
     }
 
-    // Filenames are keyed by dataset hash AND a digest of the GAT
-    // configuration (plus shard layout for sharded engines), so two
-    // embedders sharing one cache directory with different configs get
-    // coexisting snapshots instead of overwriting each other's on
-    // every start. The config stored in the payload stays the source
-    // of truth — `check_config` still validates it on load.
-
-    fn index_path(&self, dataset_hash: u64, config: &GatConfig) -> PathBuf {
-        let cfg = config_digest(config);
-        self.dir
-            .join(format!("gat-{dataset_hash:016x}-c{cfg:08x}.idx"))
-    }
-
-    fn manifest_path(
+    // Filenames are keyed by dataset hash, part layout AND a digest of
+    // the GAT configuration, so two embedders sharing one cache
+    // directory with different configs get coexisting snapshots
+    // instead of overwriting each other's on every start. The payload
+    // stays the source of truth — `check_config` and `check_layout`
+    // still validate it on load.
+    fn index_path(
         &self,
         dataset_hash: u64,
+        config: &GatConfig,
         shards: usize,
         partition: Partition,
-        config: &GatConfig,
     ) -> PathBuf {
         let cfg = config_digest(config);
         self.dir.join(format!(
-            "gat-{dataset_hash:016x}-s{shards}-{partition}-c{cfg:08x}.manifest"
-        ))
-    }
-
-    fn shard_path(
-        &self,
-        dataset_hash: u64,
-        shards: usize,
-        partition: Partition,
-        config: &GatConfig,
-        shard: usize,
-    ) -> PathBuf {
-        let cfg = config_digest(config);
-        self.dir.join(format!(
-            "gat-{dataset_hash:016x}-s{shards}-{partition}-c{cfg:08x}.shard{shard:03}.idx"
+            "gat-{dataset_hash:016x}-s{shards}-{partition}-c{cfg:08x}.idx"
         ))
     }
 
@@ -594,18 +511,26 @@ impl IndexCache {
     }
 
     fn save_index_hashed(&self, hash: u64, index: &GatIndex) -> Result<PathBuf> {
-        let path = self.index_path(hash, index.config());
-        write_file(&path, &write_index_with_hash(index, hash)?)?;
+        let path = self.index_path(hash, index.config(), index.shard_count(), index.partition());
+        let bytes = frame(hash, &encode_index(index)?);
+        write_file(&path, &bytes)?;
         Ok(path)
     }
 
     /// Loads and validates the snapshot for `dataset`, requiring it to
-    /// have been built with exactly `config`. Any mismatch — missing
-    /// file, corruption, staleness, different configuration — is an
-    /// error; use [`IndexCache::load_or_build`] to fall back to a
-    /// fresh build instead.
-    pub fn load_index(&self, dataset: &Dataset, config: &GatConfig) -> Result<GatIndex> {
-        self.load_index_hashed(dataset, dataset.content_hash(), config)
+    /// have been built with exactly `config` and `shards` parts cut by
+    /// `partition`. Any mismatch — missing file, corruption,
+    /// staleness, different configuration or layout — is an error;
+    /// use [`IndexCache::load_or_build`] to fall back to a fresh build
+    /// instead.
+    pub fn load_index(
+        &self,
+        dataset: &Dataset,
+        config: &GatConfig,
+        shards: usize,
+        partition: Partition,
+    ) -> Result<GatIndex> {
+        self.load_index_hashed(dataset, dataset.content_hash(), config, shards, partition)
     }
 
     /// Hash once per start: it keys the filename, validates the
@@ -616,30 +541,36 @@ impl IndexCache {
         dataset: &Dataset,
         hash: u64,
         config: &GatConfig,
+        shards: usize,
+        partition: Partition,
     ) -> Result<GatIndex> {
-        let path = self.index_path(hash, config);
+        let path = self.index_path(hash, config, shards, partition);
         let index = read_index_with_hash(&read_file(&path)?, dataset, hash)?;
         check_config(index.config(), config)?;
+        check_layout(&index, shards, partition)?;
         Ok(index)
     }
 
     /// The serving entry point: load the snapshot if one validates,
     /// otherwise build fresh and (over)write the snapshot for the next
     /// start. Falls back on *any* load error — and a *save* failure
-    /// (unwritable directory, full disk) never discards the engine
-    /// that was just built; it is reported in the outcome instead. The
+    /// (unwritable directory, full disk) never discards the index that
+    /// was just built; it is reported in the outcome instead. The
     /// worst a bad snapshot or cache directory costs is the build that
-    /// was going to happen anyway.
+    /// was going to happen anyway. `shards == 0` fails the build with
+    /// [`Error::InvalidConfig`].
     pub fn load_or_build(
         &self,
         dataset: &Dataset,
         config: GatConfig,
+        shards: usize,
+        partition: Partition,
     ) -> Result<(GatIndex, CacheOutcome)> {
         let hash = dataset.content_hash();
-        match self.load_index_hashed(dataset, hash, &config) {
+        match self.load_index_hashed(dataset, hash, &config, shards, partition) {
             Ok(index) => Ok((index, CacheOutcome::Loaded)),
             Err(why) => {
-                let index = GatIndex::build_with(dataset, config)?;
+                let index = GatIndex::build_sharded(dataset, config, shards, partition)?;
                 let mut note = format!("built index fresh ({why})");
                 match self.save_index_hashed(hash, &index) {
                     Ok(_) => note.push_str("; snapshot saved"),
@@ -647,159 +578,6 @@ impl IndexCache {
                 }
                 Ok((index, CacheOutcome::Rebuilt(note)))
             }
-        }
-    }
-
-    /// Serializes a sharded engine: one manifest plus one single-index
-    /// snapshot per shard (each keyed by its shard subset's content
-    /// hash). Returns every path written, manifest first.
-    pub fn save_sharded(&self, dataset: &Dataset, engine: &ShardedEngine) -> Result<Vec<PathBuf>> {
-        self.save_sharded_hashed(dataset.content_hash(), engine)
-    }
-
-    fn save_sharded_hashed(&self, hash: u64, engine: &ShardedEngine) -> Result<Vec<PathBuf>> {
-        let (shards, partition) = (engine.shard_count(), engine.partition());
-        // Paths are keyed by the base config so a loader holding only
-        // the requested (base) config can find them again.
-        let config = *engine.base_config();
-        let mut paths = Vec::with_capacity(shards + 1);
-        // Shard files first, manifest last: a crash mid-save leaves no
-        // manifest pointing at missing shards.
-        let manifest_path = self.manifest_path(hash, shards, partition, &config);
-        for (i, (shard_dataset, shard_index)) in engine.shard_parts().enumerate() {
-            let path = self.shard_path(hash, shards, partition, &config, i);
-            write_file(&path, &write_index(shard_index, shard_dataset)?)?;
-            paths.push(path);
-        }
-        write_file(&manifest_path, &write_manifest_with_hash(engine, hash)?)?;
-        paths.insert(0, manifest_path);
-        Ok(paths)
-    }
-
-    /// Loads a sharded engine from its manifest and per-shard
-    /// snapshots, validating the manifest against the requested
-    /// layout and every shard snapshot against its recomputed shard
-    /// subset. Any mismatch anywhere is an error (see
-    /// [`IndexCache::load_or_build_sharded`] for the fallback form).
-    pub fn load_sharded(
-        &self,
-        dataset: &Dataset,
-        shards: usize,
-        partition: Partition,
-        config: &GatConfig,
-    ) -> Result<ShardedEngine> {
-        let hash = dataset.content_hash();
-        self.validate_manifest(hash, shards, partition, config)?;
-        ShardedEngine::assemble(dataset, shards, partition, *config, |i, shard_dataset| {
-            self.load_shard_index(hash, shards, partition, i, shard_dataset, config)
-        })
-    }
-
-    /// Reads and fully validates the manifest of a sharded layout.
-    fn validate_manifest(
-        &self,
-        hash: u64,
-        shards: usize,
-        partition: Partition,
-        config: &GatConfig,
-    ) -> Result<()> {
-        let bytes = read_file(&self.manifest_path(hash, shards, partition, config))?;
-        let manifest = read_manifest_with_hash(&bytes, hash)?;
-        if manifest.shards != shards || manifest.partition != partition {
-            return Err(corrupt(format!(
-                "stale snapshot: manifest describes {} {} shards, requested {} {} shards",
-                manifest.shards, manifest.partition, shards, partition
-            )));
-        }
-        check_config(&manifest.config, config)
-    }
-
-    /// Reads and fully validates one shard's index snapshot against
-    /// its recomputed shard subset.
-    fn load_shard_index(
-        &self,
-        hash: u64,
-        shards: usize,
-        partition: Partition,
-        shard: usize,
-        shard_dataset: &Dataset,
-        config: &GatConfig,
-    ) -> Result<GatIndex> {
-        let bytes = read_file(&self.shard_path(hash, shards, partition, config, shard))?;
-        let index = read_index(&bytes, shard_dataset)?;
-        // The snapshot stores the shard's TUNED config; recompute it
-        // from the base config + shard subset and demand equality, so
-        // snapshots written under a different tuning rule rebuild
-        // cleanly instead of loading with the wrong depth.
-        check_config(index.config(), &shard_config(config, shard_dataset))?;
-        Ok(index)
-    }
-
-    /// [`IndexCache::load_or_build`] for sharded engines, with
-    /// **per-shard granularity**: when the manifest validates, each
-    /// shard loads its own snapshot and only the shards whose
-    /// snapshots are missing or invalid are rebuilt (and re-saved) —
-    /// one flipped byte in one of S shard files costs one shard build,
-    /// not S. A manifest that fails validation means the layout itself
-    /// is untrusted, so everything is rebuilt and re-saved. As in
-    /// [`IndexCache::load_or_build`], save failures never discard
-    /// built indexes; they are reported in the outcome.
-    pub fn load_or_build_sharded(
-        &self,
-        dataset: &Dataset,
-        shards: usize,
-        partition: Partition,
-        config: GatConfig,
-    ) -> Result<(ShardedEngine, CacheOutcome)> {
-        let hash = dataset.content_hash();
-        if let Err(why) = self.validate_manifest(hash, shards, partition, &config) {
-            let engine = ShardedEngine::build_with(dataset, shards, partition, config)?;
-            let mut note = format!("built index fresh ({why})");
-            match self.save_sharded_hashed(hash, &engine) {
-                Ok(_) => note.push_str("; snapshot saved"),
-                Err(save) => note.push_str(&format!("; snapshot not saved: {save}")),
-            }
-            return Ok((engine, CacheOutcome::Rebuilt(note)));
-        }
-        let mut notes: Vec<String> = Vec::new();
-        let engine =
-            ShardedEngine::assemble(dataset, shards, partition, config, |i, shard_dataset| {
-                match self.load_shard_index(hash, shards, partition, i, shard_dataset, &config) {
-                    Ok(index) => Ok(index),
-                    Err(why) => {
-                        let index = GatIndex::build_with(
-                            shard_dataset,
-                            shard_config(&config, shard_dataset),
-                        )?;
-                        let mut note = format!("shard {i}: {why}");
-                        let saved = write_index(&index, shard_dataset).and_then(|bytes| {
-                            write_file(
-                                &self.shard_path(hash, shards, partition, &config, i),
-                                &bytes,
-                            )
-                        });
-                        if let Err(save) = saved {
-                            note.push_str(&format!("; snapshot not saved: {save}"));
-                        }
-                        notes.push(note);
-                        Ok(index)
-                    }
-                }
-            })?;
-        if notes.is_empty() {
-            Ok((engine, CacheOutcome::Loaded))
-        } else {
-            // An honest partial-load report: most of the cold-start
-            // win usually survived one damaged shard.
-            Ok((
-                engine,
-                CacheOutcome::Rebuilt(format!(
-                    "loaded {}/{} shard snapshots; rebuilt {}",
-                    shards - notes.len(),
-                    shards,
-                    notes.join("; ")
-                )),
-            ))
         }
     }
 
@@ -814,8 +592,7 @@ impl IndexCache {
         };
         for entry in entries {
             let path = entry.map_err(|e| io_err(&self.dir, &e))?.path();
-            let ext = path.extension().and_then(|e| e.to_str());
-            if matches!(ext, Some("idx") | Some("manifest")) {
+            if path.extension().is_some_and(|e| e == "idx") {
                 out.push(path);
             }
         }
@@ -841,6 +618,17 @@ fn check_config(stored: &GatConfig, requested: &GatConfig) -> Result<()> {
         return Err(corrupt(format!(
             "snapshot built with a different GAT configuration \
              (stored {stored:?}, requested {requested:?})"
+        )));
+    }
+    Ok(())
+}
+
+fn check_layout(index: &GatIndex, shards: usize, partition: Partition) -> Result<()> {
+    if index.shard_count() != shards || index.partition() != partition {
+        return Err(corrupt(format!(
+            "stale snapshot: it holds {} {} parts, requested {shards} {partition} parts",
+            index.shard_count(),
+            index.partition()
         )));
     }
     Ok(())
@@ -914,6 +702,8 @@ mod tests {
         b.finish().unwrap()
     }
 
+    const HASH: Partition = Partition::Hash;
+
     fn small_config() -> GatConfig {
         GatConfig {
             grid_level: 5,
@@ -972,7 +762,7 @@ mod tests {
         assert_eq!(bytes, write_index(&built, &d).unwrap());
         let loaded = read_index(&bytes, &d).unwrap();
         assert_eq!(loaded.config(), built.config());
-        assert_eq!(loaded.tas().len(), built.tas().len());
+        assert_eq!(loaded.len(), built.len());
         assert_same_answers(&built, &loaded, &d);
         // A re-serialized loaded index produces the same bytes.
         assert_eq!(bytes, write_index(&loaded, &d).unwrap());
@@ -1030,7 +820,7 @@ mod tests {
         bytes[8..10].copy_from_slice(&99u16.to_le_bytes());
         let err = read_index(&bytes, &d).unwrap_err().to_string();
         assert!(
-            err.contains("version 99") && err.contains("reads version 1"),
+            err.contains("version 99") && err.contains("reads version 2"),
             "{err}"
         );
     }
@@ -1043,13 +833,12 @@ mod tests {
         let other = dataset(12, 5);
         let err = read_index(&bytes, &other).unwrap_err().to_string();
         assert!(err.contains("stale snapshot"), "{err}");
-        // A kind mismatch is its own error too.
-        let engine = ShardedEngine::build_with(&d, 2, Partition::Hash, small_config()).unwrap();
-        let manifest = write_manifest(&engine, &d).unwrap();
+        // An unknown kind (such as a version-1 shard manifest's) is its
+        // own error too.
+        let mut manifest = bytes.clone();
+        manifest[10] = 2;
         let err = read_index(&manifest, &d).unwrap_err().to_string();
-        assert!(err.contains("kind mismatch"), "{err}");
-        let err = read_manifest(&bytes, &d).unwrap_err().to_string();
-        assert!(err.contains("kind mismatch"), "{err}");
+        assert!(err.contains("unknown snapshot kind 2"), "{err}");
     }
 
     /// A CRC-valid snapshot whose components reference outside the
@@ -1081,13 +870,15 @@ mod tests {
                 TrajectoryId(99),
             )],
         );
+        let all: Vec<TrajectoryId> = d.trajectories().iter().map(|t| t.id).collect();
         let index = GatIndex::from_parts(
             small_config(),
+            Partition::Hash,
             grid.clone(),
             Hicl::build(leaf_level, vec![]),
             evil_itl,
-            tas.clone(),
-            Apl::build(d.trajectories()),
+            vec![(tas.clone(), Apl::build(d.trajectories()))],
+            std::slice::from_ref(&all),
         );
         let err = read_index(&write_index(&index, &d).unwrap(), &d)
             .unwrap_err()
@@ -1103,11 +894,12 @@ mod tests {
         long[0] = Trajectory::new(TrajectoryId(0), points);
         let index = GatIndex::from_parts(
             small_config(),
+            Partition::Hash,
             grid,
             Hicl::build(leaf_level, vec![]),
             Itl::build(leaf_level, vec![]),
-            tas,
-            Apl::build(&long),
+            vec![(tas, Apl::build(&long))],
+            &[all],
         );
         let err = read_index(&write_index(&index, &d).unwrap(), &d)
             .unwrap_err()
@@ -1123,20 +915,20 @@ mod tests {
         let d = dataset(30, 6);
         let cache = temp_cache("fallback");
         // Cold cache: builds and saves.
-        let (built, outcome) = cache.load_or_build(&d, small_config()).unwrap();
+        let (built, outcome) = cache.load_or_build(&d, small_config(), 1, HASH).unwrap();
         assert!(!outcome.loaded(), "{outcome:?}");
         // Warm cache: loads, answers identically.
-        let (loaded, outcome) = cache.load_or_build(&d, small_config()).unwrap();
+        let (loaded, outcome) = cache.load_or_build(&d, small_config(), 1, HASH).unwrap();
         assert!(outcome.loaded(), "{outcome:?}");
         assert_same_answers(&built, &loaded, &d);
         // Corrupt the snapshot on disk: next start falls back to a
         // fresh build (and repairs the snapshot).
-        let path = cache.index_path(d.content_hash(), &small_config());
+        let path = cache.index_path(d.content_hash(), &small_config(), 1, HASH);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let (rebuilt, outcome) = cache.load_or_build(&d, small_config()).unwrap();
+        let (rebuilt, outcome) = cache.load_or_build(&d, small_config(), 1, HASH).unwrap();
         match &outcome {
             CacheOutcome::Rebuilt(why) => {
                 assert!(why.contains("checksum"), "{why}")
@@ -1144,7 +936,7 @@ mod tests {
             CacheOutcome::Loaded => panic!("corrupt snapshot must not load"),
         }
         assert_same_answers(&built, &rebuilt, &d);
-        let (_, outcome) = cache.load_or_build(&d, small_config()).unwrap();
+        let (_, outcome) = cache.load_or_build(&d, small_config(), 1, HASH).unwrap();
         assert!(outcome.loaded(), "repaired snapshot should load");
         // A different config cannot reuse the snapshot — and because
         // filenames carry a config digest, the two configurations
@@ -1155,63 +947,131 @@ mod tests {
             memory_level: 4,
             ..GatConfig::default()
         };
-        let (_, outcome) = cache.load_or_build(&d, other).unwrap();
+        let (_, outcome) = cache.load_or_build(&d, other, 1, HASH).unwrap();
         assert!(!outcome.loaded(), "{outcome:?}");
-        let (_, outcome) = cache.load_or_build(&d, other).unwrap();
+        let (_, outcome) = cache.load_or_build(&d, other, 1, HASH).unwrap();
         assert!(outcome.loaded(), "second config now cached");
-        let (_, outcome) = cache.load_or_build(&d, small_config()).unwrap();
+        let (_, outcome) = cache.load_or_build(&d, small_config(), 1, HASH).unwrap();
         assert!(outcome.loaded(), "first config still cached");
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
+    /// Every shard count uses the one file layout: a sharded index
+    /// round-trips through the cache, a different layout misses it,
+    /// and any damage rebuilds the whole index.
     #[test]
     fn sharded_cache_roundtrips_and_validates() {
         let d = dataset(40, 7);
         let cache = temp_cache("sharded");
         for partition in [Partition::Hash, Partition::Spatial] {
             let (built, outcome) = cache
-                .load_or_build_sharded(&d, 3, partition, small_config())
+                .load_or_build(&d, small_config(), 3, partition)
                 .unwrap();
             assert!(!outcome.loaded());
             let (loaded, outcome) = cache
-                .load_or_build_sharded(&d, 3, partition, small_config())
+                .load_or_build(&d, small_config(), 3, partition)
                 .unwrap();
             assert!(outcome.loaded(), "{outcome:?}");
-            for q in queries(&d) {
-                assert_eq!(built.atsq(&q, 5), loaded.atsq(&q, 5));
-                assert_eq!(built.oatsq(&q, 5), loaded.oatsq(&q, 5));
-            }
+            assert_eq!(loaded.shard_sizes(), built.shard_sizes());
+            assert_same_answers(&built, &loaded, &d);
+            // One file per layout, byte-identical on re-save.
+            assert_eq!(
+                write_index(&built, &d).unwrap(),
+                write_index(&loaded, &d).unwrap()
+            );
         }
         // A different shard count misses the cache and rebuilds.
-        let (_, outcome) = cache
-            .load_or_build_sharded(&d, 2, Partition::Hash, small_config())
-            .unwrap();
+        let (_, outcome) = cache.load_or_build(&d, small_config(), 2, HASH).unwrap();
         assert!(!outcome.loaded());
-        // Deleting one shard file fails the strict load...
-        let path = cache.shard_path(d.content_hash(), 2, Partition::Hash, &small_config(), 1);
+        assert_eq!(cache.entries().unwrap().len(), 3, "one file per layout");
+        // A damaged file fails the strict load and rebuilds the whole
+        // index on the fallback path.
+        let path = cache.index_path(d.content_hash(), &small_config(), 2, HASH);
         std::fs::remove_file(&path).unwrap();
-        let err = cache
-            .load_sharded(&d, 2, Partition::Hash, &small_config())
-            .unwrap_err();
-        assert!(err.to_string().contains("shard001"), "{err}");
-        // ...while the fallback form rebuilds (and re-saves) only the
-        // damaged shard, loading the intact one from its snapshot.
-        let (engine, outcome) = cache
-            .load_or_build_sharded(&d, 2, Partition::Hash, small_config())
-            .unwrap();
-        match &outcome {
-            CacheOutcome::Rebuilt(why) => {
-                assert!(why.contains("shard 1:"), "{why}");
-                assert!(!why.contains("shard 0:"), "intact shard must load: {why}");
-            }
-            CacheOutcome::Loaded => panic!("a missing shard file cannot fully load"),
-        }
-        assert_eq!(engine.shard_count(), 2);
-        let (_, outcome) = cache
-            .load_or_build_sharded(&d, 2, Partition::Hash, small_config())
-            .unwrap();
-        assert!(outcome.loaded(), "repaired shard snapshot should load");
+        let err = cache.load_index(&d, &small_config(), 2, HASH).unwrap_err();
+        assert!(err.to_string().contains("-s2-hash-"), "{err}");
+        let (index, outcome) = cache.load_or_build(&d, small_config(), 2, HASH).unwrap();
+        assert!(!outcome.loaded(), "a missing file cannot load");
+        assert_eq!(index.shard_count(), 2);
+        let (_, outcome) = cache.load_or_build(&d, small_config(), 2, HASH).unwrap();
+        assert!(outcome.loaded(), "repaired snapshot should load");
         std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    /// A file whose part count disagrees with the requested layout, or
+    /// whose part sizes disagree with the recomputed partition, is
+    /// rejected with its own error.
+    #[test]
+    fn part_layout_mismatch_is_rejected() {
+        let d = dataset(12, 13);
+        let cache = temp_cache("layout");
+        let index = GatIndex::build_sharded(&d, small_config(), 3, HASH).unwrap();
+        // Part count: a 3-part file under the 2-part name.
+        let three = cache.save_index(&d, &index).unwrap();
+        let two = cache.index_path(d.content_hash(), &small_config(), 2, HASH);
+        std::fs::copy(&three, &two).unwrap();
+        let err = cache
+            .load_index(&d, &small_config(), 2, HASH)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("holds 3 hash parts, requested 2 hash parts"),
+            "{err}"
+        );
+        // Part sizes: the same parts in a different order.
+        let sizes = index.shard_sizes();
+        let (a, b) = (0..3)
+            .flat_map(|a| (0..3).map(move |b| (a, b)))
+            .find(|&(a, b)| sizes[a] != sizes[b])
+            .expect("the hash partition of 12 trajectories is uneven");
+        let mut parts: Vec<&Part> = index.parts().iter().collect();
+        parts.swap(a, b);
+        let payload = encode_payload(&index, &parts).unwrap();
+        let err = read_index(&frame(d.content_hash(), &payload), &d)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("part sizes disagree with the partition"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    /// The decoder never panics: for S ∈ {1, 3}, every truncation and
+    /// every strided payload mutation — re-framed with a valid CRC so
+    /// it reaches the component decoders — yields `Ok` or a typed
+    /// error.
+    #[test]
+    fn decoder_sweep_never_panics() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let d = dataset(9, 14);
+        let hash = d.content_hash();
+        for shards in [1usize, 3] {
+            let index = GatIndex::build_sharded(&d, small_config(), shards, HASH).unwrap();
+            let bytes = write_index(&index, &d).unwrap();
+            let payload = &bytes[SNAPSHOT_HEADER_LEN..];
+            let decode = |b: &[u8]| {
+                catch_unwind(AssertUnwindSafe(|| read_index(b, &d).map(|_| ())))
+                    .unwrap_or_else(|_| panic!("S={shards}: the decoder panicked"))
+            };
+            for len in 0..bytes.len() {
+                assert!(
+                    decode(&bytes[..len]).is_err(),
+                    "S={shards}: file cut at {len}"
+                );
+            }
+            for len in 0..payload.len() {
+                let cut = frame(hash, &payload[..len]);
+                assert!(decode(&cut).is_err(), "S={shards}: payload cut at {len}");
+            }
+            for offset in (0..payload.len()).step_by(3) {
+                for flip in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = payload.to_vec();
+                    bad[offset] ^= flip;
+                    let _ = decode(&frame(hash, &bad));
+                }
+            }
+        }
     }
 
     /// An unusable cache directory must not abort startup: the engine
@@ -1228,23 +1088,18 @@ mod tests {
             std::env::temp_dir().join(format!("atsq-snapshot-blocked-{}", std::process::id()));
         std::fs::write(&blocker, b"not a directory").unwrap();
         let cache = IndexCache::new(&blocker);
-        let (index, outcome) = cache.load_or_build(&d, small_config()).unwrap();
-        assert_eq!(index.tas().len(), d.len());
-        match &outcome {
-            CacheOutcome::Rebuilt(why) => {
-                assert!(why.contains("snapshot not saved"), "{why}")
+        for shards in [1usize, 2] {
+            let (index, outcome) = cache
+                .load_or_build(&d, small_config(), shards, HASH)
+                .unwrap();
+            assert_eq!(index.len(), d.len());
+            assert_eq!(index.shard_count(), shards);
+            match &outcome {
+                CacheOutcome::Rebuilt(why) => {
+                    assert!(why.contains("snapshot not saved"), "{why}")
+                }
+                CacheOutcome::Loaded => panic!("nothing to load"),
             }
-            CacheOutcome::Loaded => panic!("nothing to load"),
-        }
-        let (engine, outcome) = cache
-            .load_or_build_sharded(&d, 2, Partition::Hash, small_config())
-            .unwrap();
-        assert_eq!(engine.shard_count(), 2);
-        match &outcome {
-            CacheOutcome::Rebuilt(why) => {
-                assert!(why.contains("snapshot not saved"), "{why}")
-            }
-            CacheOutcome::Loaded => panic!("nothing to load"),
         }
         std::fs::remove_file(&blocker).ok();
     }
@@ -1256,20 +1111,19 @@ mod tests {
         assert!(cache.entries().unwrap().is_empty(), "cold cache is empty");
         let index = GatIndex::build_with(&d, small_config()).unwrap();
         let index_path = cache.save_index(&d, &index).unwrap();
-        let engine = ShardedEngine::build_with(&d, 2, Partition::Hash, small_config()).unwrap();
-        let paths = cache.save_sharded(&d, &engine).unwrap();
-        assert_eq!(paths.len(), 3, "manifest + 2 shards");
+        let sharded = GatIndex::build_sharded(&d, small_config(), 2, HASH).unwrap();
+        let sharded_path = cache.save_index(&d, &sharded).unwrap();
 
-        let info = inspect(&index_path).unwrap();
-        assert_eq!(info.kind, "index");
-        assert_eq!(info.version, SNAPSHOT_VERSION);
-        assert_eq!(info.dataset_hash, d.content_hash());
-        assert!(info.payload_bytes > 0);
-        let info = inspect(&paths[0]).unwrap();
-        assert_eq!(info.kind, "manifest");
+        for path in [&index_path, &sharded_path] {
+            let info = inspect(path).unwrap();
+            assert_eq!(info.kind, "index");
+            assert_eq!(info.version, SNAPSHOT_VERSION);
+            assert_eq!(info.dataset_hash, d.content_hash());
+            assert!(info.payload_bytes > 0);
+        }
 
         let entries = cache.entries().unwrap();
-        assert_eq!(entries.len(), 4, "{entries:?}");
+        assert_eq!(entries.len(), 2, "{entries:?}");
         // Inspect flags a non-snapshot file cleanly.
         let junk = cache.dir().join("junk.idx");
         std::fs::write(&junk, b"not a snapshot").unwrap();

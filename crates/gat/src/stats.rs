@@ -153,6 +153,18 @@ pub struct IoSnapshot {
 }
 
 impl IoSnapshot {
+    /// Component-wise sum — folds per-part counters into engine totals.
+    pub fn add(&self, other: &IoSnapshot) -> IoSnapshot {
+        IoSnapshot {
+            hicl_cold_reads: self.hicl_cold_reads + other.hicl_cold_reads,
+            apl_reads: self.apl_reads + other.apl_reads,
+            tas_checks: self.tas_checks + other.tas_checks,
+            tas_false_positives: self.tas_false_positives + other.tas_false_positives,
+            candidates_retrieved: self.candidates_retrieved + other.candidates_retrieved,
+            distances_computed: self.distances_computed + other.distances_computed,
+        }
+    }
+
     /// Component-wise saturating difference (`self - earlier`).
     fn saturating_sub(&self, earlier: &IoSnapshot) -> IoSnapshot {
         IoSnapshot {

@@ -229,11 +229,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Sharding is a pure execution strategy: for any shard count,
-    /// either partitioner, and all four query kinds, the sharded
-    /// engine returns exactly the single-index answer — ids,
-    /// distances and tie-breaks included. This is the guarantee
-    /// behind running one Algorithm-1 loop over the router and
-    /// verifying each candidate on its owner shard.
+    /// either partitioner, and all four query kinds, an index whose
+    /// verification half is split into parts returns exactly the
+    /// single-index answer — ids, distances and tie-breaks included.
+    /// This is the guarantee behind running one Algorithm-1 loop over
+    /// the one traversal half and verifying each candidate on its
+    /// owner part.
     #[test]
     fn sharded_engine_equals_single_index(
         dataset in arb_dataset(),
@@ -243,28 +244,28 @@ proptest! {
         shards in prop::sample::select(vec![1usize, 2, 3, 7]),
         spatial in proptest::arbitrary::any::<bool>(),
     ) {
-        use atsq_gat::{Partition, ShardedEngine};
+        use atsq_gat::Partition;
         let partition = if spatial { Partition::Spatial } else { Partition::Hash };
         let single = GatIndex::build(&dataset).expect("single index");
-        let engine = ShardedEngine::build(&dataset, shards, partition)
-            .expect("sharded engine");
+        let sharded = GatIndex::build_sharded(&dataset, GatConfig::default(), shards, partition)
+            .expect("sharded index");
         prop_assert_eq!(
-            engine.atsq(&query, k),
+            atsq_gat::atsq(&sharded, &dataset, &query, k),
             atsq_gat::atsq(&single, &dataset, &query, k),
             "ATSQ diverged (S={}, {})", shards, partition
         );
         prop_assert_eq!(
-            engine.oatsq(&query, k),
+            atsq_gat::oatsq(&sharded, &dataset, &query, k),
             atsq_gat::oatsq(&single, &dataset, &query, k),
             "OATSQ diverged (S={}, {})", shards, partition
         );
         prop_assert_eq!(
-            engine.atsq_range(&query, tau),
+            atsq_gat::atsq_range(&sharded, &dataset, &query, tau),
             atsq_gat::atsq_range(&single, &dataset, &query, tau),
             "range ATSQ diverged (S={}, {})", shards, partition
         );
         prop_assert_eq!(
-            engine.oatsq_range(&query, tau),
+            atsq_gat::oatsq_range(&sharded, &dataset, &query, tau),
             atsq_gat::oatsq_range(&single, &dataset, &query, tau),
             "range OATSQ diverged (S={}, {})", shards, partition
         );

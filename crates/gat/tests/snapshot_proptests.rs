@@ -5,7 +5,7 @@
 //! random micro-datasets, queries, `k` and `tau`.
 
 use atsq_gat::snapshot::{read_index, write_index, IndexCache};
-use atsq_gat::{GatConfig, GatIndex, Partition, ShardedEngine};
+use atsq_gat::{GatConfig, GatIndex, Partition};
 use atsq_types::{ActivitySet, Dataset, DatasetBuilder, Point, Query, QueryPoint, TrajectoryPoint};
 use proptest::prelude::*;
 
@@ -102,8 +102,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sharded engines restored from an index cache answer every query
-    /// kind exactly like the engines they were saved from, for
+    /// Sharded indexes restored from an index cache answer every query
+    /// kind exactly like the indexes they were saved from, for
     /// S ∈ {1, 2, 4} and both partitioners.
     #[test]
     fn loaded_sharded_engine_answers_identically(
@@ -120,19 +120,24 @@ proptest! {
         ));
         let cache = IndexCache::new(&dir);
         let config = small_config(4);
+        use atsq_gat::{atsq, atsq_range, oatsq, oatsq_range};
+        let d = &dataset;
         for shards in [1usize, 2, 4] {
-            let built = ShardedEngine::build_with(&dataset, shards, partition, config)
+            let built = GatIndex::build_sharded(d, config, shards, partition)
                 .expect("build sharded");
-            cache.save_sharded(&dataset, &built).expect("save");
+            cache.save_index(d, &built).expect("save");
             let loaded = cache
-                .load_sharded(&dataset, shards, partition, &config)
+                .load_index(d, &config, shards, partition)
                 .expect("load sharded");
-            prop_assert_eq!(built.atsq(&query, k), loaded.atsq(&query, k));
-            prop_assert_eq!(built.oatsq(&query, k), loaded.oatsq(&query, k));
-            prop_assert_eq!(built.atsq_range(&query, tau), loaded.atsq_range(&query, tau));
+            prop_assert_eq!(atsq(&built, d, &query, k), atsq(&loaded, d, &query, k));
+            prop_assert_eq!(oatsq(&built, d, &query, k), oatsq(&loaded, d, &query, k));
             prop_assert_eq!(
-                built.oatsq_range(&query, tau),
-                loaded.oatsq_range(&query, tau)
+                atsq_range(&built, d, &query, tau),
+                atsq_range(&loaded, d, &query, tau)
+            );
+            prop_assert_eq!(
+                oatsq_range(&built, d, &query, tau),
+                oatsq_range(&loaded, d, &query, tau)
             );
         }
         std::fs::remove_dir_all(&dir).ok();

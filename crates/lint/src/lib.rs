@@ -20,7 +20,8 @@
 //!    in the allowlist, so each one is a recorded decision.
 //! 3. **`panic-hot-path`** — `unwrap()` / `expect(…)` / `panic!` are
 //!    denied in the request hot path (server, service, wire, queue,
-//!    sharded engine). An `.expect(…)` whose message
+//!    the GAT index's owner routing and part verification). An
+//!    `.expect(…)` whose message
 //!    contains `invariant` is allowed — it documents a structurally
 //!    impossible failure rather than an error path.
 //! 4. **`atomic-snapshot-coherence`** — a function that loads two or
@@ -154,6 +155,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/service/src/service.rs",
     "crates/service/src/wire.rs",
     "crates/service/src/queue.rs",
+    "crates/gat/src/index.rs",
     "crates/gat/src/sharded.rs",
 ];
 

@@ -3,11 +3,10 @@
 //! The library crates answer one query at a time; this crate turns
 //! them into a server. A [`Service`] owns an `Arc`-shared
 //! [`Dataset`](atsq_types::Dataset) + [`Engine`](atsq_core::Engine) —
-//! one [`GatEngine`](atsq_core::GatEngine), or a
-//! [`ShardedEngine`](atsq_core::ShardedEngine) when
-//! [`ServiceConfig::shards`] > 1 (immutable after build, so readers
-//! need no locks) — and a fixed-size **worker pool** consuming a
-//! **bounded request queue**:
+//! one [`GatEngine`](atsq_core::GatEngine) with
+//! [`ServiceConfig::shards`] verification parts (immutable after
+//! build, so readers need no locks) — and a fixed-size **worker
+//! pool** consuming a **bounded request queue**:
 //!
 //! ```text
 //!  clients ──submit──▶ BoundedQueue ──pop──▶ workers ──▶ tickets

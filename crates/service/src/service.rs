@@ -30,15 +30,16 @@ pub struct ServiceConfig {
     /// Deadline applied to requests submitted without one. `None`
     /// means such requests never expire.
     pub default_deadline: Option<Duration>,
-    /// Index shards ([`Service::build`] only): `1` serves one
-    /// [`GatEngine`]; above that a [`ShardedEngine`], whose queries
-    /// run on the worker thread that popped them like any other.
+    /// Verification parts of the served GAT index ([`Service::build`]
+    /// only; see [`atsq_core::GatIndex::build_sharded`]). Answers are
+    /// identical for every count; `0` fails the build with
+    /// [`atsq_types::Error::InvalidConfig`].
     pub shards: usize,
-    /// How trajectories map to shards when `shards > 1`.
+    /// How trajectories map to parts when `shards > 1`.
     pub partition: Partition,
     /// Directory of persistent index snapshots ([`Service::build`]
     /// only). When set, startup loads a validated snapshot of the GAT
-    /// (or sharded) index instead of rebuilding it — snapshots are
+    /// index instead of rebuilding it — snapshots are
     /// keyed by the dataset's content hash, so a stale or corrupt file
     /// falls back to a fresh build whose snapshot is saved for the
     /// next start. `None` always builds in process.
@@ -217,9 +218,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds the engine for `dataset` — a single GAT index, or a
-    /// [`ShardedEngine`] when `config.shards > 1` — and starts the
-    /// service. With `config.index_cache` set, the index is loaded
+    /// Builds the GAT engine for `dataset` with `config.shards`
+    /// verification parts and starts the service. With `config.index_cache` set, the index is loaded
     /// from a validated snapshot when one exists (see
     /// [`atsq_core::IndexCache`]); otherwise it is built fresh and
     /// snapshotted for the next start.
@@ -931,7 +931,7 @@ mod tests {
         )
         .unwrap();
         let handle = service.handle();
-        assert!(matches!(handle.engine().as_ref(), Engine::Sharded(_)));
+        assert!(matches!(handle.engine().as_ref(), Engine::Gat(e) if e.index().shard_count() == 4));
         for q in &queries {
             let via_service = handle
                 .call(Request::Atsq {
@@ -950,6 +950,28 @@ mod tests {
             snap.engine.candidates
         );
         service.shutdown();
+    }
+
+    /// Zero shards is a typed configuration error at build time, with
+    /// or without an index cache — never a silently unsharded service.
+    #[test]
+    fn zero_shards_is_rejected_at_build() {
+        let dataset = generate(&CityConfig::tiny(24)).unwrap();
+        let dir = std::env::temp_dir().join(format!("atsq-service-zero-{}", std::process::id()));
+        for index_cache in [None, Some(dir.clone())] {
+            let config = ServiceConfig {
+                workers: 1,
+                shards: 0,
+                index_cache,
+                ..ServiceConfig::default()
+            };
+            match Service::build(dataset.clone(), config) {
+                Err(atsq_types::Error::InvalidConfig(_)) => {}
+                Err(other) => panic!("want InvalidConfig, got {other}"),
+                Ok(_) => panic!("zero shards must not build a service"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The cold-start path: a service started with an index cache

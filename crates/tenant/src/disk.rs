@@ -34,9 +34,10 @@ pub const CITY_INDEX_DIR: &str = "index";
 /// Options for [`registry_from_dir`].
 #[derive(Debug, Clone)]
 pub struct DiskRegistryOptions {
-    /// Shards per city engine (`> 1` builds a sharded engine).
+    /// Verification parts per city's GAT index; `0` fails every city
+    /// load with [`atsq_types::Error::InvalidConfig`].
     pub shards: usize,
-    /// Partitioning strategy for sharded engines.
+    /// Partitioning strategy when `shards > 1`.
     pub partition: Partition,
     /// Estimated resident-byte ceiling across `Ready` cities
     /// (`None` = never evict).

@@ -171,36 +171,6 @@ impl Dataset {
         }
         h.finish()
     }
-
-    /// Extracts the sub-dataset holding exactly `members`, re-assigning
-    /// dense local ids `0..members.len()` in the order given. The
-    /// vocabulary (ids, names, frequency ranking) is retained, so
-    /// activity ids stay interchangeable across subsets; bounds are
-    /// recomputed from the member points, so an index over a spatially
-    /// coherent subset covers only that subset's region (a sharded
-    /// engine's per-shard grids get finer effective resolution this
-    /// way). This is the partitioning primitive behind the sharded
-    /// engine; callers that care about deterministic ranking
-    /// tie-breaks should pass `members` in ascending id order.
-    pub fn subset(&self, members: &[TrajectoryId]) -> Dataset {
-        let mut bounds = Rect::empty();
-        let trajectories = members
-            .iter()
-            .enumerate()
-            .map(|(local, &id)| {
-                let points = self.trajectories[id.index()].points.clone();
-                for p in &points {
-                    bounds.extend_point(&p.loc);
-                }
-                Trajectory::new(TrajectoryId(local as u32), points)
-            })
-            .collect();
-        Dataset {
-            trajectories,
-            vocabulary: self.vocabulary.clone(),
-            bounds,
-        }
-    }
 }
 
 /// FNV-1a (64-bit): tiny, dependency-free, deterministic. Quality is
@@ -430,25 +400,6 @@ mod tests {
         assert_eq!(s.distinct_activities, 2);
         let rendered = s.to_string();
         assert!(rendered.contains("#venue"));
-    }
-
-    #[test]
-    fn subset_relabels_and_keeps_vocab_and_bounds() {
-        let mut b = DatasetBuilder::new().without_frequency_ranking();
-        let a = b.observe_activity("a");
-        for i in 0..5 {
-            b.push_trajectory(vec![tp(i as f64, 0.0, &[a])]);
-        }
-        let d = b.finish().unwrap();
-        let sub = d.subset(&[TrajectoryId(1), TrajectoryId(4)]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.trajectory(TrajectoryId(0)).id, TrajectoryId(0));
-        assert_eq!(sub.trajectory(TrajectoryId(0)).points[0].loc.x, 1.0);
-        assert_eq!(sub.trajectory(TrajectoryId(1)).points[0].loc.x, 4.0);
-        assert_eq!(sub.vocabulary().len(), d.vocabulary().len());
-        // Bounds cover the members only.
-        assert_eq!(sub.bounds(), Rect::from_bounds(1.0, 0.0, 4.0, 0.0));
-        assert!(d.subset(&[]).is_empty());
     }
 
     #[test]

@@ -60,8 +60,7 @@ fn main() {
         }
         let s = engine
             .index()
-            .apl()
-            .pool_stats()
+            .apl_pool_stats()
             .expect("paged backend reports pool stats");
         println!(
             "{frames:>8} {:>10} {:>10} {:>10} {:>7.1}%",

@@ -71,7 +71,7 @@ fn main() {
         );
     }
 
-    let snap = engine.index().stats().snapshot();
+    let snap = engine.index().stats();
     println!(
         "\nindex work: {} candidates, {} TAS checks ({} false positives), {} APL fetches, {} full distance evaluations",
         snap.candidates_retrieved,

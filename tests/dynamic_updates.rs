@@ -29,7 +29,7 @@ fn incremental_index_equals_rebuilt_index() {
         index.insert_trajectory(dataset.trajectory(id)).unwrap();
     }
     assert_eq!(dataset.len(), n);
-    assert_eq!(index.tas().len(), n);
+    assert_eq!(index.len(), n);
 
     // Note: `dataset` now differs from `full` only in activity counts
     // (append re-counts), not in geometry or activity sets, so query

@@ -72,7 +72,7 @@ fn io_stats_show_gat_pruning() {
         let _ = gat.atsq(&dataset, q, 9);
         il_candidates += il.candidates(q).len();
     }
-    let snap = gat.index().stats().snapshot();
+    let snap = gat.index().stats();
     assert!(snap.distances_computed > 0);
     // The headline claim in miniature: GAT's spatial+activity pruning
     // avoids evaluating a large share of IL's activity-only candidates.

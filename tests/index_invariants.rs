@@ -70,7 +70,7 @@ fn tas_never_dismisses_a_true_match() {
     let idx = index(&d);
     for tr in d.trajectories() {
         let all = tr.all_activities();
-        let sketch = idx.tas().sketch(tr.id.index());
+        let sketch = idx.sketch(tr.id);
         assert!(
             sketch.covers(&all),
             "TAS dismissed {}'s own activities",
@@ -87,7 +87,7 @@ fn apl_is_exact() {
     let d = dataset();
     let idx = index(&d);
     for tr in d.trajectories() {
-        let postings = idx.postings(tr.id.index()).unwrap();
+        let postings = idx.postings(tr.id).unwrap();
         for (i, p) in tr.points.iter().enumerate() {
             for a in p.activities.iter() {
                 assert!(postings.postings(a).contains(&(i as u32)));

@@ -76,14 +76,14 @@ fn paged_gat_measures_page_traffic() {
     let engine = GatEngine::build_paged(&dataset, GatConfig::default(), &cfg).unwrap();
     let queries = generate_queries(&dataset, &QueryGenConfig::default(), 3);
 
-    let before = engine.index().apl().pool_stats().expect("paged backend");
+    let before = engine.index().apl_pool_stats().expect("paged backend");
     assert_eq!(before.hits + before.misses, 0, "build must reset counters");
 
     let mut any = 0;
     for q in &queries {
         any += engine.atsq(&dataset, q, 5).len();
     }
-    let after = engine.index().apl().pool_stats().expect("paged backend");
+    let after = engine.index().apl_pool_stats().expect("paged backend");
     if any > 0 {
         assert!(
             after.misses > 0,
@@ -93,7 +93,7 @@ fn paged_gat_measures_page_traffic() {
     // Simulated APL-read counter and measured pool accesses must agree
     // on the number of posting fetches: one pool access per record
     // chunk, at least one per APL read.
-    let snapshot = engine.index().stats().snapshot();
+    let snapshot = engine.index().stats();
     assert!(after.hits + after.misses >= snapshot.apl_reads);
 }
 
@@ -145,7 +145,9 @@ fn storage_faults_surface_as_errors_not_results() {
     ));
     // One frame: at most one page can be served warm from the build.
     let paged = PagedApl::build_with_store(dataset.trajectories().iter(), store, 1).unwrap();
-    let index = index.with_apl_storage(AplStorage::Paged(paged));
+    let index = index
+        .with_apl_storage(AplStorage::Paged(paged))
+        .expect("a single-part index takes replacement APL storage");
     switch.store(true, Ordering::Relaxed); // pull the plug
 
     let mem = GatEngine::build(&dataset).unwrap();
@@ -228,7 +230,9 @@ fn garbled_page_payload_is_detected_at_query_time() {
     });
     // pool_frames = 1 so queries always re-read through the garbler.
     let paged = PagedApl::build_with_store(dataset.trajectories().iter(), store, 1).unwrap();
-    let index = index.with_apl_storage(AplStorage::Paged(paged));
+    let index = index
+        .with_apl_storage(AplStorage::Paged(paged))
+        .expect("a single-part index takes replacement APL storage");
 
     let queries = generate_queries(&dataset, &QueryGenConfig::default(), 5);
     let mut saw_error = false;
@@ -304,7 +308,7 @@ fn paged_gat_serves_concurrent_queries() {
     }
 
     // All page traffic from four threads is accounted for.
-    let pool = paged.index().apl().pool_stats().unwrap();
+    let pool = paged.index().apl_pool_stats().unwrap();
     assert!(pool.hits + pool.misses > 0);
 }
 
@@ -355,7 +359,7 @@ fn cold_hicl_levels_are_paged_and_measured() {
     // Measured cold fetches and the simulated counter agree in order:
     // every simulated cold read was served by at least one pool access
     // or by a directory miss (unoccupied cell, no record to fetch).
-    let simulated = paged.index().stats().snapshot().hicl_cold_reads;
+    let simulated = paged.index().stats().hicl_cold_reads;
     assert!(simulated > 0);
 }
 
